@@ -98,9 +98,7 @@ def build_parser() -> _Parser:
     run.add_argument("--m", type=int, default=8, help="block size M (at most M^2 test rounds)")
     run.add_argument("--delta", type=float, default=0.05)
     run.add_argument("--width", type=int, default=4)
-    run.add_argument("--prover", default="honest",
-                     choices=["honest", "random_answer", "wrong_basis", "constant_v",
-                              "delayed_classical", "always_wrong"])
+    run.add_argument("--prover", default="honest", choices=provers.PROVER_NAMES)
     run.add_argument("--transcript", help="write the session transcript (JSON lines)")
     run.add_argument("--connect", help="HOST:PORT of a remote prover (socket mode)")
     run.add_argument("--strict-trailing", action="store_true")
@@ -111,9 +109,7 @@ def build_parser() -> _Parser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, required=True)
     serve.add_argument("--sessions", type=int, default=1)
-    serve.add_argument("--prover", default="honest",
-                       choices=["honest", "random_answer", "wrong_basis", "constant_v",
-                                "delayed_classical", "always_wrong"])
+    serve.add_argument("--prover", default="honest", choices=provers.PROVER_NAMES)
     serve.set_defaults(func=cmd_rsp_serve)
 
     diag = rsp_sub.add_parser("diagnose", help="rigidity diagnostics for a small device")
@@ -362,7 +358,7 @@ def cmd_qced_demo(args) -> int:
 def cmd_transcript_verify(args) -> int:
     try:
         report = transcript.replay(args.file)
-    except (transcript.TranscriptFormatError, OSError, KeyError) as exc:
+    except (transcript.TranscriptFormatError, OSError) as exc:
         _emit(args, {"ok": False, "error": str(exc)})
         return 1
     payload = {"ok": report.ok, "rounds_checked": report.rounds_checked,

@@ -12,7 +12,9 @@ keyed permutation pi on (w+1)-bit strings:
 pi is an 8-round Feistel network over w+1 bits (odd totals use an
 unbalanced split with the left half one bit larger) whose round tables are
 derived from a 128-bit per-key seed with a keyed hash.  Determinism and
-invertibility are the only contracts pi has to satisfy.
+invertibility are the only contracts pi has to satisfy.  Evaluation and
+inversion run straight from the round tables (~2^((w+1)/2) entries per
+key); only :func:`preimage_table` enumerates the 2^(w+1) domain.
 
 SECURITY WARNING: nothing here is cryptographically hard.  The public key
 contains the permutation seed (and the claw offset), so anyone holding a
@@ -145,23 +147,6 @@ def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) ->
     return (left << right_bits) | right
 
 
-@lru_cache(maxsize=512)
-def _perm_tables(seed: bytes, total_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    forward = tuple(_feistel(seed, total_bits, v) for v in range(1 << total_bits))
-    inverse = [0] * len(forward)
-    for v, image in enumerate(forward):
-        inverse[image] = v
-    return forward, tuple(inverse)
-
-
-def _perm(key_seed: bytes, width: int, value: int) -> int:
-    return _perm_tables(key_seed, width + 1)[0][value]
-
-
-def _perm_inv(key_seed: bytes, width: int, value: int) -> int:
-    return _perm_tables(key_seed, width + 1)[1][value]
-
-
 def gen(mode: int, width: int, rng: np.random.Generator) -> EntcfKeyPair:
     """Fresh key pair: new permutation seed, and a claw offset in mode 1."""
     _check_mode(mode)
@@ -181,9 +166,8 @@ def eval_point(key: EntcfKey, b: int, x: int) -> int:
         raise ValueError("b must be a bit")
     if not 0 <= x < (1 << key.width):
         raise ValueError(f"x = {x} out of range for width {key.width}")
-    if key.mode == INJECTIVE:
-        return _perm(key.seed, key.width, (b << key.width) | x)
-    return _perm(key.seed, key.width, x ^ (key.delta if b else 0))
+    pre = (b << key.width) | x if key.mode == INJECTIVE else x ^ (key.delta if b else 0)
+    return _feistel(key.seed, key.width + 1, pre)
 
 
 def chk(key: EntcfKey, y: int, b: int, x: int) -> bool:
@@ -199,7 +183,7 @@ def decode_b(trapdoor: EntcfTrapdoor, y: int) -> int:
         raise DecodeError("decode_b requires an injective-mode trapdoor")
     if not 0 <= y < (1 << (trapdoor.width + 1)):
         raise DecodeError(f"image {y} out of range")
-    return _perm_inv(trapdoor.seed, trapdoor.width, y) >> trapdoor.width
+    return _feistel(trapdoor.seed, trapdoor.width + 1, y, inverse=True) >> trapdoor.width
 
 
 def decode_x(trapdoor: EntcfTrapdoor, y: int, b: int) -> int | None:
@@ -213,7 +197,7 @@ def decode_x(trapdoor: EntcfTrapdoor, y: int, b: int) -> int | None:
         raise ValueError("b must be a bit")
     if not 0 <= y < (1 << (trapdoor.width + 1)):
         raise DecodeError(f"image {y} out of range")
-    pre = _perm_inv(trapdoor.seed, trapdoor.width, y)
+    pre = _feistel(trapdoor.seed, trapdoor.width + 1, y, inverse=True)
     if trapdoor.mode == INJECTIVE:
         return pre & ((1 << trapdoor.width) - 1)
     if pre >> trapdoor.width:
@@ -237,7 +221,11 @@ def decode_u(trapdoor: EntcfTrapdoor, y: int, d: int) -> int:
 
 
 def preimage_table(key: EntcfKey) -> dict[int, list[tuple[int, int]]]:
-    """All (b, x) preimages of every reachable image point."""
+    """All (b, x) preimages of every reachable image point.
+
+    O(2^(w+1)): no protocol path calls it; the tests use it as the reference
+    for the honest prover's two-term commitments.
+    """
     table: dict[int, list[tuple[int, int]]] = {}
     for b in (0, 1):
         for x in range(1 << key.width):

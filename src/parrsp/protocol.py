@@ -133,6 +133,8 @@ class VerifierSession:
             return None
         if not isinstance(reply, dict) or reply.get("type") != expect:
             raise ProtocolAbort(f"expected {expect} message, got {reply!r}")
+        if type(reply.get("round")) is not int or reply["round"] != msg["round"]:
+            raise ProtocolAbort(f"{expect} for round {reply.get('round')!r}, not {msg['round']}")
         self.recorder.record("p->v", reply)
         return reply
 

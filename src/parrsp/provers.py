@@ -6,14 +6,16 @@ QUESTION -> ANSWERS, VERDICT/FINAL -> no reply).  Everything here keeps a
 per-round derived RNG so behavior is identical in-process and over a
 socket.
 
-The honest prover works one copy at a time: for each received key it
-prepares the uniform superposition over (bit, preimage) pairs entangled
-with the image point, measures the image register, and keeps only the
-post-measurement register of w+1 qubits.  Preimage challenges measure that
-register outright; equation challenges Hadamard-transform and measure the
-preimage part, leaving a single committed qubit per copy, which is either
-measured (test round question) or kept as the protocol's output state
-(preparation round).
+The honest prover keeps per copy only what the protocol leaves in its
+register.  For each key it draws a uniform pair (b, x) and reports
+y = f(b, x), the Born distribution of measuring the image register of the
+uniform superposition over all pairs; the register then holds |b, x>
+(injective key) or the equal-weight claw (b, x), (1 - b, x XOR delta)
+(claw-free key).  Preimage challenges measure it by picking one term.
+Equation challenges return a uniform d, the outcome law of Hadamard-
+measuring the preimage part, and keep the single qubit sum (-1)^(d.x) |b>
+over the terms, which is either measured (test round question) or kept as
+the protocol's output state (preparation round).
 """
 
 from __future__ import annotations
@@ -88,51 +90,45 @@ class LocalProver:
         return None
 
 
+def claw_terms(key: entcf.EntcfKey, b: int, x: int) -> tuple[tuple[int, int], ...]:
+    """Basis terms (equal amplitudes) of the register committed to f(b, x)."""
+    if key.mode == entcf.CLAW_FREE:
+        return (b, x), (1 - b, x ^ key.delta)
+    return ((b, x),)
+
+
+def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> qcore.StateVector:
+    """Committed qubit left after the preimage register is Hadamard-measured as d."""
+    amps = np.zeros(2, dtype=complex)
+    for b, x in terms:
+        amps[b] = (-1) ** (bin(d & x).count("1") & 1) / np.sqrt(len(terms))
+    return qcore.StateVector(amps)
+
+
 class HonestProver(LocalProver):
     """Follows the protocol exactly; succeeds with probability 1 here."""
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)
-        self._states: list[qcore.StateVector] = []
+        self._terms: list[tuple[tuple[int, int], ...]] = []
         self._committed: list[qcore.StateVector] | None = None
 
     def commit(self, keys):
         self._committed = None
-        self._states = []
+        self._terms = []
         images = []
         for key in keys:
-            table = entcf.preimage_table(key)
-            ys = sorted(table)
-            weights = np.array([len(table[y]) for y in ys], dtype=float)
-            weights /= weights.sum()
-            y = ys[int(self._rng.choice(len(ys), p=weights))]
-            preimages = table[y]
-            amps = np.zeros(2 ** (key.width + 1), dtype=complex)
-            for b, x in preimages:
-                amps[(b << key.width) | x] = 1.0 / np.sqrt(len(preimages))
-            self._states.append(qcore.StateVector(amps))
-            images.append(y)
+            b, x = divmod(int(self._rng.integers(0, 2 ** (key.width + 1))), 2**key.width)
+            self._terms.append(claw_terms(key, b, x))
+            images.append(entcf.eval_point(key, b, x))
         return images
 
     def preimage_answers(self):
-        answers = []
-        for state in self._states:
-            bits, _ = qcore.measure_computational(state, range(self._width + 1), self._rng)
-            answers.append((bits[0], qcore.bits_to_index(bits[1:])))
-        return answers
+        return [terms[int(self._rng.integers(0, len(terms)))] for terms in self._terms]
 
     def equation_answers(self):
-        equations = []
-        committed = []
-        mask = (0,) + (1,) * self._width
-        for state in self._states:
-            rotated = qcore.hadamard_layer(state, mask)
-            d_bits, post = qcore.measure_computational(rotated, range(1, self._width + 1), self._rng)
-            d_index = qcore.bits_to_index(d_bits)
-            qubit = post.amplitudes.reshape(2, 2**self._width)[:, d_index]
-            committed.append(qcore.StateVector(qubit))
-            equations.append(d_index)
-        self._committed = committed
+        equations = [int(self._rng.integers(0, 2**self._width)) for _ in self._terms]
+        self._committed = [kept_qubit(terms, d) for terms, d in zip(self._terms, equations)]
         return equations
 
     def question_answers(self, q):
@@ -204,10 +200,7 @@ class DelayedClassicalProver(HonestProver):
 
     def commit(self, keys):
         images = super().commit(keys)
-        self._record = []
-        for state in self._states:
-            bits, _ = qcore.measure_computational(state, range(self._width + 1), self._rng)
-            self._record.append((bits[0], qcore.bits_to_index(bits[1:])))
+        self._record = super().preimage_answers()
         return images
 
     def preimage_answers(self):
@@ -241,6 +234,9 @@ _STRATEGIES = {
     "delayed_classical": DelayedClassicalProver,
     "always_wrong": AlwaysWrongProver,
 }
+
+# Every strategy name a caller may ask for: the honest prover plus the registry.
+PROVER_NAMES = ("honest", *sorted(_STRATEGIES))
 
 
 def cheating_prover(strategy: str, seed: int = 0) -> LocalProver:

@@ -82,6 +82,8 @@ def _load_lines(source) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TranscriptFormatError(f"line {i + 1}: not valid JSON ({exc})") from exc
+        if not isinstance(records[-1], dict):
+            raise TranscriptFormatError(f"line {i + 1}: not a JSON object")
     if not records:
         raise TranscriptFormatError("empty transcript")
     return records
@@ -106,13 +108,13 @@ def _recompute_flag(bundle: dict[str, dict], width: int) -> str:
         pairs = bundle["PREIMAGES"]["pairs"]
         ok = all(
             entcf.chk(key, y, int(p["b"]), hex_to_int(p["x"], width))
-            for key, y, p in zip(keys, images, pairs)
+            for key, y, p in zip(keys, images, pairs, strict=True)
         )
         return "ok" if ok else "fail_Pre"
     theta = keys[0].mode
     equations = [hex_to_int(h, width) for h in bundle["EQUATIONS"]["d"]]
     answers = [int(v) for v in bundle["ANSWERS"]["v"]]
-    for trapdoor, y, d, v in zip(trapdoors, images, equations, answers):
+    for trapdoor, y, d, v in zip(trapdoors, images, equations, answers, strict=True):
         expected = entcf.decode_b(trapdoor, y) if theta == 0 else entcf.decode_u(trapdoor, y, d)
         if expected != v:
             return "fail_Had"
@@ -125,14 +127,26 @@ def _recompute_prep_v(bundle: dict[str, dict], width: int) -> str:
     images = [hex_to_int(h, width + 1) for h in bundle["IMAGES"]["y"]]
     equations = [hex_to_int(h, width) for h in bundle["EQUATIONS"]["d"]]
     v_bits = []
-    for key, trapdoor, y, d in zip(keys, trapdoors, images, equations):
+    for key, trapdoor, y, d in zip(keys, trapdoors, images, equations, strict=True):
         v_bits.append(entcf.decode_b(trapdoor, y) if key.mode == 0 else entcf.decode_u(trapdoor, y, d))
     return bits_to_hex(v_bits)
 
 
 def replay(source) -> ReplayReport:
-    """Recompute all verifier decisions and compare with the recorded ones."""
+    """Recompute all verifier decisions and compare with the recorded ones.
+
+    A record of the wrong type or shape raises TranscriptFormatError.
+    """
     records = _load_lines(source)
+    try:
+        return _replay_records(records)
+    except TranscriptFormatError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:  # entcf.DecodeError is a ValueError
+        raise TranscriptFormatError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
+
+
+def _replay_records(records: list[dict]) -> ReplayReport:
     summary = records[-1]
     if summary.get("type") != "SUMMARY":
         raise TranscriptFormatError("transcript does not end with a SUMMARY record")
@@ -141,7 +155,10 @@ def replay(source) -> ReplayReport:
     width = int(config["width"])
     m_blocks = int(config["m"])
     delta = float(config["delta"])
+    if not entcf.MIN_KEY_WIDTH <= width <= entcf.MAX_KEY_WIDTH or m_blocks < 1:
+        raise TranscriptFormatError(f"session parameters out of range: width {width}, m {m_blocks}")
     strict = bool(config.get("strict_trailing", False))
+    protocol_abort = str(summary.get("abort_reason") or "").startswith("protocol abort")
 
     rounds = _group_rounds(messages)
     report = ReplayReport(ok=True)
@@ -152,6 +169,8 @@ def replay(source) -> ReplayReport:
         bundle = rounds[idx]
         required = {"KEYS", "IMAGES", "ROUND_TYPE"}
         if not required <= bundle.keys():
+            if protocol_abort and idx == max(rounds):
+                continue  # the prover reply that ended the session was rejected unrecorded
             raise TranscriptFormatError(f"round {idx} is missing {required - bundle.keys()}")
         if "VERDICT" not in bundle:
             prep_round_index = idx
@@ -174,10 +193,8 @@ def replay(source) -> ReplayReport:
     # re-derive the accept/abort decision from recomputed flags
     s_blocks = summary.get("s_blocks")
     r_draw = summary.get("r_draw")
-    accepted_recomputed = True
-    if summary.get("abort_reason", "") and str(summary.get("abort_reason")).startswith("protocol abort"):
-        accepted_recomputed = False
-    elif s_blocks is not None:
+    accepted_recomputed = not protocol_abort
+    if accepted_recomputed and s_blocks is not None:
         pos = 0
         for block in range(int(s_blocks)):
             chunk = test_flags[pos : pos + m_blocks]

@@ -90,6 +90,26 @@ class TestTranscriptVerify:
         assert code == 2
         assert payload["mismatches"]
 
+    @pytest.mark.parametrize(
+        "rtype, field, value",
+        [
+            ("KEYS", "keys", 5),
+            ("KEYS", "keys", [{"mode": 0}]),
+            ("SUMMARY", "config", 5),
+            ("SUMMARY", "config", {"n": 2, "m": 0, "delta": 0.05, "width": 4, "seed": 9}),
+        ],
+        ids=["keys-int", "key-missing-fields", "config-int", "config-m-zero"],
+    )
+    def test_malformed_record_exits_1(self, capsys, tmp_path, rtype, field, value):
+        path = self._write_run(capsys, tmp_path)
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        target = next(r for r in records if r["type"] == rtype)
+        target[field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(path))
+        assert code == 1
+        assert payload["ok"] is False and payload["error"]
+
     def test_garbage_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not json\n")

@@ -127,6 +127,16 @@ class TestDecoding:
                     y = entcf.eval_point(kp.key, b, x)
                     assert entcf.decode_x(kp.trapdoor, y, b) == x
 
+    @pytest.mark.parametrize("mode", [entcf.INJECTIVE, entcf.CLAW_FREE])
+    def test_decode_inverts_eval_exhaustive_width6(self, mode):
+        kp = entcf.gen(mode, 6, np.random.default_rng(6 + mode))
+        for b in (0, 1):
+            for x in range(64):
+                y = entcf.eval_point(kp.key, b, x)
+                assert entcf.decode_x(kp.trapdoor, y, b) == x
+                if mode == entcf.INJECTIVE:
+                    assert entcf.decode_b(kp.trapdoor, y) == b
+
     def test_claw_offset_identity(self, clawfree):
         for x in range(16):
             y = entcf.eval_point(clawfree.key, 0, x)

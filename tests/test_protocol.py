@@ -298,6 +298,20 @@ class TestMultiRound:
         assert res.abort_block == -1
         assert "abort" in res.abort_reason
 
+    @pytest.mark.parametrize("bad_reply_to", ["KEYS", "ROUND_TYPE"])
+    def test_wrong_round_in_reply_aborts_and_replays(self, bad_reply_to):
+        class WrongRound(provers.HonestProver):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if msg["type"] == bad_reply_to:
+                    reply["round"] += 7
+                return reply
+
+        res = protocol.run_multi_round(config(n=2, m=2, seed=1), WrongRound(seed=1))
+        assert not res.accepted
+        assert res.abort_block == -1 and "round" in res.abort_reason
+        assert transcript.replay(res.transcript).ok
+
     def test_reveal_theta_flag(self):
         res = protocol.run_multi_round(
             config(n=2, m=2, seed=3, reveal_theta=False), provers.HonestProver(seed=3)
