@@ -319,14 +319,7 @@ def piracy_experiment(
     aborts = 0
     for _ in range(trials):
         f = random_point_function(lam, rng)
-        cfg = MultiRoundConfig(
-            n=config.n,
-            m_blocks=config.m_blocks,
-            delta=config.delta,
-            width=config.width,
-            seed=int(rng.integers(0, 2**63)),
-            reveal_theta=False,
-        )
+        cfg = replace(config, seed=int(rng.integers(0, 2**63)), reveal_theta=False)
         prog, result = cp_protect(lam, f, cfg, prover_factory(int(rng.integers(0, 2**63))), rng)
         if prog is None:
             aborts += 1

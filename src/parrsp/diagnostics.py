@@ -22,6 +22,19 @@ quantity is an exact expectation (no sampling noise).
 
 Block keys are pairs (y_vec, d_vec) of integer tuples.  The device space
 is committed (2^n) x ancilla (A); operators on it are dense numpy arrays.
+
+Class form.  A post-equation block depends on (y_vec, d_vec) only through
+the string v_vec the verifier decodes from it: an injective copy holds
+|b_hat(y)>, a claw-free copy holds H|u(d)> with u(d) = d . delta, and the
+ancilla factor is the same for every block.  So sigma^(theta) is exactly
+2^n class blocks sigma^(theta, v) = W(v) (x)_i rho_i(v_i) (x) anc, where
+rho_i(v_i) is the BB84 projector H^theta_i |v_i><v_i| H^theta_i and the
+class weight W(v) is a product of per-copy weights.  Every sign the
+diagnostics use (the Xtilde sign, the sign-corrected isometry, the
+anticommutation sign) is a function of v alone, so they all evaluate on
+`Device.sigma_by_v`, cached per theta.  The per-(y, d) blocks of
+`Device.sigma_blocks` are expanded from the same per-copy terms and stay
+the reference form.
 """
 
 from __future__ import annotations
@@ -37,18 +50,15 @@ from . import entcf, qcore
 MAX_DIAG_COPIES = 3
 MAX_DIAG_WIDTH = 2
 
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_H = qcore.hadamard().entries
 
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+def _dot(u: Sequence[int], a: Sequence[int]) -> int:
+    return sum(x & y for x, y in zip(u, a)) % 2
 
 
 def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -56,6 +66,17 @@ def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def _bb84_ket(theta_vec: Sequence[int], v_vec: Sequence[int]) -> np.ndarray:
+    """(x)_i H^theta_i |v_i> as a vector."""
+    eye = np.eye(2, dtype=complex)
+    return _kron_all([(_H if theta else eye)[:, v] for theta, v in zip(theta_vec, v_vec)])
+
+
+def _expect(op: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr[op rho]."""
+    return float(np.einsum("ij,ji->", op, rho).real)
 
 
 @dataclass(frozen=True)
@@ -80,13 +101,6 @@ class SigmaState:
     def total_trace(self) -> float:
         return float(sum(np.trace(m).real for m in self.blocks.values()))
 
-    def total_matrix(self) -> np.ndarray:
-        return sum(self.blocks.values())
-
-    def stacked(self):
-        keys = sorted(self.blocks)
-        return keys, np.stack([self.blocks[k] for k in keys])
-
 
 class Device:
     """Compressed-representation device with one key tuple per mode."""
@@ -102,6 +116,7 @@ class Device:
             raise ValueError("need one fixed answer per non-honest ancilla index")
         if abs(self.anc_probs.sum() - 1.0) > 1e-12:
             raise ValueError("ancilla probabilities must sum to 1")
+        self._sigma_by_v: dict[tuple[int, ...], dict[tuple[int, ...], np.ndarray]] = {}
 
     # -- dimensions -----------------------------------------------------
 
@@ -122,26 +137,31 @@ class Device:
     def _pair(self, mode: int, copy: int) -> entcf.EntcfKeyPair:
         return self.keypairs[mode][copy]
 
-    def copy_y_list(self, mode: int, copy: int):
-        """Honest (y, weight, 2-dim committed ket) triples for one copy."""
+    def copy_y_list(self, mode: int, copy: int) -> list[tuple[int, float, int]]:
+        """Honest (y, weight, bit) triples for one copy; the committed qubit is H^mode |bit>.
+
+        An injective image holds |b_hat(y)>, a claw-free one the claw state |+>.
+        """
         kp = self._pair(mode, copy)
         w = self.width
-        out = []
         if mode == entcf.INJECTIVE:
-            for y in range(2 ** (w + 1)):
-                b_hat = entcf.decode_b(kp.trapdoor, y)
-                ket = np.zeros(2, dtype=complex)
-                ket[b_hat] = 1.0
-                out.append((y, 2.0 ** -(w + 1), ket))
-        else:
-            for y in range(2 ** (w + 1)):
-                if entcf.decode_x(kp.trapdoor, y, 0) is None:
-                    continue
-                out.append((y, 2.0**-w, _PLUS.copy()))
-        return out
+            return [(y, 2.0 ** -(w + 1), entcf.decode_b(kp.trapdoor, y)) for y in range(2 ** (w + 1))]
+        return [(y, 2.0**-w, 0) for y in range(2 ** (w + 1)) if entcf.decode_x(kp.trapdoor, y, 0) is not None]
 
-    def copy_x_answer(self, mode: int, copy: int, y: int, b: int) -> int:
-        return entcf.decode_x(self._pair(mode, copy).trapdoor, y, b)
+    def copy_terms(self, mode: int, copy: int) -> list[tuple[int, int, int, float]]:
+        """Post-equation terms (y, d, decoded bit, weight) of one copy.
+
+        The committed qubit of a term is again H^mode |bit>: the Kraus factor
+        of an injective block only rescales |b_hat(y)>, and the one of a
+        claw-free block turns |+> into H|d . delta>.  Each term weighs its
+        image weight times 2^-w, the squared Kraus scale.
+        """
+        scale = 2.0**-self.width
+        return [
+            (y, d, bit ^ (mode and self.copy_u(copy, d)), weight * scale)
+            for y, weight, bit in self.copy_y_list(mode, copy)
+            for d in range(2**self.width)
+        ]
 
     def copy_u(self, copy: int, d: int) -> int:
         kp = self._pair(entcf.CLAW_FREE, copy)
@@ -167,32 +187,57 @@ class Device:
     def psi_blocks(self, theta_vec: Sequence[int]):
         """Post-commitment state: dict y_vec -> subnormalized block matrix."""
         theta_vec = tuple(theta_vec)
-        per_copy = [self.copy_y_list(theta_vec[i], i) for i in range(self.n)]
-        anc = self._anc_matrix()
+        units = self._class_units(theta_vec)
+        per_copy = [self.copy_y_list(theta, i) for i, theta in enumerate(theta_vec)]
         blocks = {}
         for combo in itertools.product(*per_copy):
-            y_vec = tuple(entry[0] for entry in combo)
-            weight = float(np.prod([entry[1] for entry in combo]))
-            ket = _kron_all([entry[2].reshape(2, 1) for entry in combo]).reshape(-1)
-            committed = np.outer(ket, ket.conj())
-            blocks[y_vec] = weight * np.kron(committed, anc)
+            weight = float(np.prod([t[1] for t in combo]))
+            blocks[tuple(t[0] for t in combo)] = weight * units[tuple(t[2] for t in combo)]
         return blocks
+
+    def _class_units(self, theta_vec: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
+        """v_vec -> (x)_i H^theta_i |v_i><v_i| H^theta_i (x) anc, for every v_vec; trace 1."""
+        anc = self._anc_matrix()
+        units = {}
+        for v_vec in itertools.product((0, 1), repeat=self.n):
+            ket = _bb84_ket(theta_vec, v_vec)
+            units[v_vec] = np.kron(np.outer(ket, ket.conj()), anc)
+        return units
 
     def sigma_blocks(self, theta_vec: Sequence[int]) -> SigmaState:
         """Post-equation state sigma: blocks over (y_vec, d_vec)."""
         theta_vec = tuple(theta_vec)
-        psi = self.psi_blocks(theta_vec)
-        anc = self._anc_matrix()
-        d_range = range(2**self.width)
+        units = self._class_units(theta_vec)
+        per_copy = [self.copy_terms(theta, i) for i, theta in enumerate(theta_vec)]
         blocks = {}
-        for y_vec, block in psi.items():
-            committed = self._committed_part(block)  # still carries the block weight
-            for d_vec in itertools.product(d_range, repeat=self.n):
-                k = _kron_all(
-                    [self.copy_kraus(theta_vec[i], i, y_vec[i], d_vec[i]) for i in range(self.n)]
-                )
-                blocks[(y_vec, d_vec)] = np.kron(k @ committed @ k.conj().T, anc)
+        for combo in itertools.product(*per_copy):
+            key = (tuple(t[0] for t in combo), tuple(t[1] for t in combo))
+            weight = float(np.prod([t[3] for t in combo]))
+            blocks[key] = weight * units[tuple(t[2] for t in combo)]
         return SigmaState(theta=theta_vec, blocks=blocks)
+
+    def sigma_by_v(self, theta_vec: Sequence[int]) -> dict[tuple[int, ...], np.ndarray]:
+        """Class form of sigma: decoded string v_vec -> sigma^(theta, v), cached per theta.
+
+        Each class block is the sum of the `sigma_blocks` blocks decoding to
+        v_vec, built from the per-copy class weights (sums over
+        `copy_terms`) rather than from those blocks.  Every caller shares
+        the cached blocks, so they are read-only arrays.
+        """
+        theta_vec = tuple(theta_vec)
+        if theta_vec not in self._sigma_by_v:
+            weights = []
+            for i, theta in enumerate(theta_vec):
+                per_bit = [0.0, 0.0]
+                for _, _, bit, weight in self.copy_terms(theta, i):
+                    per_bit[bit] += weight
+                weights.append(per_bit)
+            classes = {}
+            for v_vec, unit in self._class_units(theta_vec).items():
+                classes[v_vec] = float(np.prod([w[v] for w, v in zip(weights, v_vec)])) * unit
+                classes[v_vec].setflags(write=False)
+            self._sigma_by_v[theta_vec] = classes
+        return self._sigma_by_v[theta_vec]
 
     def _committed_part(self, block: np.ndarray) -> np.ndarray:
         """Trace out the ancilla from a block (blocks are kron(committed, anc))."""
@@ -201,67 +246,44 @@ class Device:
 
     def decode_block(self, theta_vec: Sequence[int], y_vec, d_vec) -> tuple[int, ...]:
         """The bit string the verifier decodes for this block."""
-        out = []
-        for i, theta in enumerate(theta_vec):
-            if theta == 0:
-                out.append(self.copy_b_hat(i, y_vec[i]))
-            else:
-                out.append(self.copy_u(i, d_vec[i]))
-        return tuple(out)
+        return tuple(
+            self.copy_u(i, d_vec[i]) if theta else self.copy_b_hat(i, y_vec[i])
+            for i, theta in enumerate(theta_vec)
+        )
+
+    def v_parity(self, theta_vec, v_vec, a: Sequence[int]) -> int:
+        """Xtilde sign bit a . v_vec of a decoded string; needs theta_i = 1 where a_i = 1."""
+        if any(ai and theta != 1 for theta, ai in zip(theta_vec, a)):
+            raise ValueError("Xtilde sign needs a claw-free key wherever a_i = 1")
+        return _dot(v_vec, a)
 
     def u_vector(self, theta_vec, d_vec, a: Sequence[int]) -> int:
         """Parity a . u over claw-free copies; requires theta_i = 1 where a_i = 1."""
-        total = 0
-        for i, (theta, ai) in enumerate(zip(theta_vec, a)):
-            if ai:
-                if theta != 1:
-                    raise ValueError("Xtilde sign needs a claw-free key wherever a_i = 1")
-                total ^= self.copy_u(i, d_vec[i])
-        return total
+        return self.v_parity(theta_vec, [self.copy_u(i, d) for i, d in enumerate(d_vec)], a)
 
     # -- measurements ------------------------------------------------------
 
+    def _on_anc(self, honest: np.ndarray, forced: Callable[[int], float]) -> np.ndarray:
+        """honest on ancilla index 0, plus forced(answer) * 1 on each index j >= 1."""
+        a = self.anc_dim
+        out = np.zeros((self.block_dim, self.block_dim), dtype=complex)
+        out[::a, ::a] = honest
+        for j, answer in enumerate(self.anc_answers, start=1):
+            out[j::a, j::a] = forced(answer) * np.eye(self.committed_dim)
+        return out
+
     def question_projector(self, q: int, v_vec: Sequence[int]) -> np.ndarray:
         """P_q^{(v)} on the enlarged space (honest part + forced answers)."""
-        v_index = int(sum(bit << (self.n - 1 - i) for i, bit in enumerate(v_vec)))
-        if q == 0:
-            ket = np.zeros(self.committed_dim, dtype=complex)
-            ket[v_index] = 1.0
-        else:
-            kets = []
-            h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-            for bit in v_vec:
-                kets.append(h @ np.eye(2, dtype=complex)[:, bit].reshape(2, 1))
-            ket = _kron_all(kets).reshape(-1)
-        honest = np.outer(ket, ket.conj())
-        anc_keep = np.zeros((self.anc_dim, self.anc_dim), dtype=complex)
-        anc_keep[0, 0] = 1.0
-        out = np.kron(honest, anc_keep)
-        for j, answer in enumerate(self.anc_answers, start=1):
-            if answer == v_index:
-                e = np.zeros((self.anc_dim, self.anc_dim), dtype=complex)
-                e[j, j] = 1.0
-                out += np.kron(np.eye(self.committed_dim, dtype=complex), e)
-        return out
+        v_index = qcore.bits_to_index(v_vec)
+        ket = _bb84_ket((q,) * self.n, v_vec)
+        return self._on_anc(np.outer(ket, ket.conj()), lambda answer: float(answer == v_index))
 
     def observable_matrix(self, kind: str, a: Sequence[int]) -> np.ndarray:
         """Block-independent part of Z(a) or X(a) on the enlarged space."""
-        a = tuple(a)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        single = sz if kind == "Z" else sx
-        factors = [single if bit else np.eye(2, dtype=complex) for bit in a]
-        honest = _kron_all(factors) if factors else np.eye(1, dtype=complex)
-        anc_keep = np.zeros((self.anc_dim, self.anc_dim), dtype=complex)
-        anc_keep[0, 0] = 1.0
-        out = np.kron(honest, anc_keep)
-        a_int = _bits_to_int(a)
-        for j, answer in enumerate(self.anc_answers, start=1):
-            sign = (-1.0) ** _parity(answer & a_int)
-            e = np.zeros((self.anc_dim, self.anc_dim), dtype=complex)
-            e[j, j] = 1.0
-            out += sign * np.kron(np.eye(self.committed_dim, dtype=complex), e)
-        return out
+        single = (qcore.pauli_z() if kind == "Z" else qcore.pauli_x()).entries
+        honest = _kron_all([single if bit else np.eye(2, dtype=complex) for bit in a]) if a else np.eye(1)
+        a_int = qcore.bits_to_index(a)
+        return self._on_anc(honest, lambda answer: (-1.0) ** _parity(answer & a_int))
 
 
 @dataclass
@@ -348,10 +370,20 @@ def partial_sigma(device: Device, theta_vec: Sequence[int], v: int, a: Sequence[
     full = device.sigma_blocks(theta_vec)
     blocks = {}
     for key, m in full.blocks.items():
-        decoded = device.decode_block(theta_vec, key[0], key[1])
-        if sum(x & y for x, y in zip(decoded, a)) % 2 == v:
+        if _dot(device.decode_block(theta_vec, key[0], key[1]), a) == v:
             blocks[key] = m
     return SigmaState(theta=theta_vec, blocks=blocks)
+
+
+def _partial(sigma: dict, a: Sequence[int], v: int) -> np.ndarray:
+    """Sum of the class blocks sigma^(theta, v_vec) with a . v_vec = v."""
+    zero = np.zeros_like(next(iter(sigma.values())))
+    return sum((m for v_vec, m in sigma.items() if _dot(v_vec, a) == v), zero)
+
+
+def _sign_split(sigma: dict, a: Sequence[int]) -> np.ndarray:
+    """Sum over classes of (-1)^(a . v_vec) sigma^(theta, v_vec)."""
+    return _partial(sigma, a, 0) - _partial(sigma, a, 1)
 
 
 def gammas(device: Device) -> tuple[float, float]:
@@ -360,7 +392,7 @@ def gammas(device: Device) -> tuple[float, float]:
     Averaged uniformly over the single-basis choices theta in {0, 1}, as in
     a test round.
     """
-    n, w = device.n, device.width
+    n = device.n
     gamma_p_terms = []
     gamma_h_terms = []
     for theta in (0, 1):
@@ -380,17 +412,15 @@ def gammas(device: Device) -> tuple[float, float]:
                         break
                 if not ok:
                     continue
-                idx = sum(b << (n - 1 - i) for i, b in enumerate(b_vec))
+                idx = qcore.bits_to_index(b_vec)
                 pass_pre += float(committed[idx, idx].real)
         gamma_p_terms.append(1.0 - pass_pre)
 
-        # Hadamard round: the device answers with P_theta, check against the decoding
-        sigma = device.sigma_blocks(theta_vec)
-        pass_had = 0.0
-        for (y_vec, d_vec), block in sigma.blocks.items():
-            correct = device.decode_block(theta_vec, y_vec, d_vec)
-            proj = device.question_projector(theta, correct)
-            pass_had += float(np.trace(proj @ block).real)
+        # Hadamard round: the device answers with P_theta, checked against the decoding
+        pass_had = sum(
+            _expect(device.question_projector(theta, v_vec), block)
+            for v_vec, block in device.sigma_by_v(theta_vec).items()
+        )
         gamma_h_terms.append(1.0 - pass_had)
 
     return 0.5 * sum(gamma_p_terms), 0.5 * sum(gamma_h_terms)
@@ -421,41 +451,24 @@ def success_relations_report(device: Device) -> dict:
     n = device.n
     rows = {"z": [], "x": [], "xtilde": []}
     max_gap = 0.0
-    theta0 = (0,) * n
-    theta1 = (1,) * n
-    sigma0 = device.sigma_blocks(theta0)
-    sigma1 = device.sigma_blocks(theta1)
-    decoded0 = {k: device.decode_block(theta0, k[0], k[1]) for k in sigma0.blocks}
-    decoded1 = {k: device.decode_block(theta1, k[0], k[1]) for k in sigma1.blocks}
+    sigma0 = device.sigma_by_v((0,) * n)
+    sigma1 = device.sigma_by_v((1,) * n)
     eye = np.eye(device.block_dim, dtype=complex)
-
-    def _partial_rows(sigma, decoded, proj, a, v):
-        lhs = rhs = 0.0
-        for key, block in sigma.blocks.items():
-            if sum(x & y for x, y in zip(decoded[key], a)) % 2 != v:
-                continue
-            lhs += float(np.trace(proj @ block).real)
-            rhs += float(np.trace(block).real)
-        return lhs, rhs
 
     for a in itertools.product((0, 1), repeat=n):
         z = device.observable_matrix("Z", a)
         x = device.observable_matrix("X", a)
         for v in (0, 1):
-            lhs, rhs = _partial_rows(sigma0, decoded0, 0.5 * (eye + (-1.0) ** v * z), a, v)
-            gap = abs(lhs - rhs)
-            rows["z"].append({"a": list(a), "v": v, "lhs": lhs, "rhs": rhs, "gap": gap})
-            max_gap = max(max_gap, gap)
+            for name, sigma, obs in (("z", sigma0, z), ("x", sigma1, x)):
+                part = _partial(sigma, a, v)
+                lhs = _expect(0.5 * (eye + (-1.0) ** v * obs), part)
+                rhs = float(np.trace(part).real)
+                gap = abs(lhs - rhs)
+                rows[name].append({"a": list(a), "v": v, "lhs": lhs, "rhs": rhs, "gap": gap})
+                max_gap = max(max_gap, gap)
 
-            lhs, rhs = _partial_rows(sigma1, decoded1, 0.5 * (eye + (-1.0) ** v * x), a, v)
-            gap = abs(lhs - rhs)
-            rows["x"].append({"a": list(a), "v": v, "lhs": lhs, "rhs": rhs, "gap": gap})
-            max_gap = max(max_gap, gap)
-
-        lhs = 0.0
-        for (y_vec, d_vec), block in sigma1.blocks.items():
-            sign = (-1.0) ** device.u_vector(theta1, d_vec, a)
-            lhs += sign * float(np.trace(x @ block).real)
+        # Xtilde(a) carries the sign (-1)^(a . v) on the class decoded as v
+        lhs = _expect(x, _sign_split(sigma1, a))
         gap = abs(lhs - 1.0)
         rows["xtilde"].append({"a": list(a), "lhs": lhs, "rhs": 1.0, "gap": gap})
         max_gap = max(max_gap, gap)
@@ -463,41 +476,26 @@ def success_relations_report(device: Device) -> dict:
 
 
 def pauli_relation_value(device: Device, a: Sequence[int], b: Sequence[int]) -> complex:
-    """Tr[Z(a) Xt(b) Z(a) Xt(b) sigma^(1...1)], evaluated blockwise."""
-    a, b = tuple(a), tuple(b)
-    n = device.n
-    theta1 = (1,) * n
+    """Tr[Z(a) Xt(b) Z(a) Xt(b) sigma^(1...1)], evaluated blockwise.
+
+    Both Xtilde factors carry the same sign on a block, so the signs cancel
+    and the value is a trace against the whole of sigma^(1...1).
+    """
     z = device.observable_matrix("Z", a)
     x = device.observable_matrix("X", b)
-    product = z @ x @ z @ x
-    sigma = device.sigma_blocks(theta1)
-    total = 0.0 + 0.0j
-    for (y_vec, d_vec), block in sigma.blocks.items():
-        sign = (-1.0) ** device.u_vector(theta1, d_vec, b)
-        total += sign * sign * np.trace(product @ block)
-    return complex(total)
+    total = sum(device.sigma_by_v((1,) * device.n).values())
+    return complex(np.trace(z @ x @ z @ x @ total))
 
 
 def pauli_relation_grid(device: Device) -> dict:
     """All 4^n relation values plus the worst deviation from (-1)^(a.b)."""
     n = device.n
-    theta1 = (1,) * n
-    sigma = device.sigma_blocks(theta1)
-    keys, stacked = sigma.stacked()
-    u_bits = np.array(
-        [[device.copy_u(i, d_vec[i]) for i in range(n)] for (_, d_vec) in keys], dtype=int
-    )
     entries = []
     worst = 0.0
     for a in itertools.product((0, 1), repeat=n):
-        z = device.observable_matrix("Z", a)
         for b in itertools.product((0, 1), repeat=n):
-            x = device.observable_matrix("X", b)
-            product = z @ x @ z @ x
-            signs = (-1.0) ** (u_bits @ np.array(b))
-            traces = np.einsum("ij,bji->b", product, stacked)
-            value = complex(np.sum(signs * signs * traces))
-            expected = (-1.0) ** (sum(ai & bi for ai, bi in zip(a, b)) % 2)
+            value = pauli_relation_value(device, a, b)
+            expected = (-1.0) ** _dot(a, b)
             dev_abs = abs(value - expected)
             worst = max(worst, dev_abs)
             entries.append(
@@ -512,17 +510,11 @@ def anticommutation_value(device: Device, i: int) -> float:
     n = device.n
     if not 0 <= i < n:
         raise ValueError(f"copy index {i} out of range")
-    theta = tuple(1 if j == i else 0 for j in range(n))
     e_i = tuple(1 if j == i else 0 for j in range(n))
     z = device.observable_matrix("Z", e_i)
     x = device.observable_matrix("X", e_i)
-    product = z @ x @ z
-    sigma = device.sigma_blocks(theta)
-    total = 0.0
-    for (y_vec, d_vec), block in sigma.blocks.items():
-        sign = (-1.0) ** device.copy_u(i, d_vec[i])
-        total += sign * float(np.trace(product @ block).real)
-    return total
+    # the Xtilde_i sign of a block is (-1)^(v_i), v_i = u(d_i) its decoded bit
+    return _expect(z @ x @ z, _sign_split(device.sigma_by_v(e_i), e_i))
 
 
 def state_dep_distance(a, b, psi) -> float:
@@ -542,11 +534,7 @@ def state_dep_distance(a, b, psi) -> float:
 
 
 def _epr_vector(n: int) -> np.ndarray:
-    dim = 2**n
-    vec = np.zeros(dim * dim, dtype=complex)
-    for z in range(dim):
-        vec[z * dim + z] = 1.0
-    return vec / np.sqrt(dim)
+    return np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)
 
 
 @dataclass
@@ -558,15 +546,18 @@ class BlockIsometry:
     base_terms: list  # [(pauli_vec_column, X(a)Z(b) matrix, a)] precomputed
 
     def matrix_for(self, theta_vec, y_vec, d_vec) -> np.ndarray:
-        n = self.device.n
-        out = None
-        for w_col, op, a in self.base_terms:
-            sign = 1.0
-            if self.use_tilde:
-                sign = (-1.0) ** self.device.u_vector(theta_vec, d_vec, a)
-            term = sign * np.kron(op, w_col)
-            out = term if out is None else out + term
-        return out / 2**n
+        return self._matrix(lambda a: self.device.u_vector(theta_vec, d_vec, a))
+
+    def matrix_for_v(self, theta_vec, v_vec) -> np.ndarray:
+        """The matrix shared by every block decoded as v_vec (any v_vec without use_tilde)."""
+        return self._matrix(lambda a: self.device.v_parity(theta_vec, v_vec, a))
+
+    def _matrix(self, parity: Callable) -> np.ndarray:
+        total = sum(
+            ((-1.0) ** parity(a) if self.use_tilde else 1.0) * np.kron(op, w_col)
+            for w_col, op, a in self.base_terms
+        )
+        return total / 2**self.device.n
 
 
 def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
@@ -590,21 +581,22 @@ def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
 
 
 def isometry_relation_gap(device: Device) -> float:
-    """Max operator-norm gap of V = sigma_Z(u)_A sigma_Z(u)_Q Vtilde per block."""
+    """Max operator-norm gap of V = sigma_Z(u)_A sigma_Z(u)_Q Vtilde per block.
+
+    A block's Vtilde and correction depend on it only through its decoded
+    string u, and V on nothing, so the maximum runs over the 2^n classes.
+    """
     n = device.n
     theta1 = (1,) * n
-    v_iso = rounding_isometry(device, use_tilde=False)
-    vt_iso = rounding_isometry(device, use_tilde=True)
-    sigma = device.sigma_blocks(theta1)
-    worst = 0.0
     zeros = (0,) * n
-    for (y_vec, d_vec) in sigma.blocks:
-        u_vec = tuple(device.copy_u(i, d_vec[i]) for i in range(n))
-        v_mat = v_iso.matrix_for(theta1, y_vec, d_vec)
-        vt_mat = vt_iso.matrix_for(theta1, y_vec, d_vec)
+    v_mat = rounding_isometry(device, use_tilde=False).matrix_for_v(theta1, zeros)
+    vt_iso = rounding_isometry(device, use_tilde=True)
+    eye = np.eye(device.block_dim, dtype=complex)
+    worst = 0.0
+    for u_vec in device.sigma_by_v(theta1):
         sz_u = qcore.pauli_string(zeros, u_vec).entries
-        corr = np.kron(np.eye(device.block_dim, dtype=complex), np.kron(sz_u, sz_u))
-        gap = float(np.linalg.norm(v_mat - corr @ vt_mat, ord=2))
+        corr = np.kron(eye, np.kron(sz_u, sz_u))
+        gap = float(np.linalg.norm(v_mat - corr @ vt_iso.matrix_for_v(theta1, u_vec), ord=2))
         worst = max(worst, gap)
     return worst
 
@@ -618,50 +610,33 @@ def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
     """Distance of the rounded state from the BB84 x side-state product form.
 
     For each decoded string v the report compares V sigma^(theta, v) V^dag
-    against (BB84 states on Q) tensor alpha with alpha the Q-marginal,
-    blockwise.  The spread entry compares the ancillary alpha states across
-    different v after summing out the classical block index (keeping it
-    would make the comparison trivially maximal: different v live on
-    disjoint classical outcomes).
+    against (BB84 states on Q) tensor alpha with alpha the Q-marginal.  The
+    blocks decoded as v are all proportional to the class block, so the
+    blockwise sum of trace distances equals the class block's distance.  The
+    spread entry compares the ancillary alpha states across different v
+    after summing out the classical block index (keeping it would make the
+    comparison trivially maximal: different v live on disjoint classical
+    outcomes).
     """
     n = device.n
     theta_vec = tuple(theta_vec)
-    v_iso = rounding_isometry(device, use_tilde=False)
+    v_mat = rounding_isometry(device, use_tilde=False).matrix_for_v(theta_vec, (0,) * n)
+    q_dim = 2**n
     per_v = []
     alphas = {}
-    q_dim = 2**n
-    for v_vec in itertools.product((0, 1), repeat=n):
-        part = sigma_for_v(device, theta_vec, v_vec)
-        # BB84 target on Q for this v
-        kets = []
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        for theta, v in zip(theta_vec, v_vec):
-            ket = np.eye(2, dtype=complex)[:, v]
-            if theta:
-                ket = h @ ket
-            kets.append(ket.reshape(2, 1))
-        bb84_ket = _kron_all(kets).reshape(-1)
-        bb84 = np.outer(bb84_ket, bb84_ket.conj())
-        distance = 0.0
-        alpha_sum = None
-        weight = 0.0
-        for (y_vec, d_vec), block in part.blocks.items():
-            v_mat = v_iso.matrix_for(theta_vec, y_vec, d_vec)
-            rho = v_mat @ block @ v_mat.conj().T
-            rest_dim = rho.shape[0] // q_dim
-            alpha = _partial_trace_last(rho, rest_dim, q_dim)
-            target = np.kron(alpha, bb84)
-            distance += 0.5 * qcore.trace_norm(rho - target)
-            alpha_sum = alpha if alpha_sum is None else alpha_sum + alpha
-            weight += float(np.trace(block).real)
+    for v_vec, block in device.sigma_by_v(theta_vec).items():
+        bb84_ket = _bb84_ket(theta_vec, v_vec)
+        rho = v_mat @ block @ v_mat.conj().T
+        alpha = _partial_trace_last(rho, rho.shape[0] // q_dim, q_dim)
+        target = np.kron(alpha, np.outer(bb84_ket, bb84_ket.conj()))
+        distance = 0.5 * qcore.trace_norm(rho - target)
+        weight = float(np.trace(block).real)
         per_v.append({"v": list(v_vec), "trace_distance": distance, "weight": weight})
-        if alpha_sum is not None and weight > 1e-14:
-            alphas[v_vec] = alpha_sum / weight
-    spread = 0.0
-    keys = list(alphas)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            spread = max(spread, 0.5 * qcore.trace_norm(alphas[keys[i]] - alphas[keys[j]]))
+        if weight > 1e-14:
+            alphas[v_vec] = alpha / weight
+    spread = max(
+        (0.5 * qcore.trace_norm(x - y) for x, y in itertools.combinations(alphas.values(), 2)), default=0.0
+    )
     return {
         "theta": list(theta_vec),
         "per_v": per_v,
@@ -710,7 +685,7 @@ def validate_device(device: Device) -> dict:
         for y_vec in device.psi_blocks(theta_vec):
             total = np.zeros((device.committed_dim, device.committed_dim), dtype=complex)
             for b_vec in itertools.product((0, 1), repeat=n):
-                idx = sum(b << (n - 1 - i) for i, b in enumerate(b_vec))
+                idx = qcore.bits_to_index(b_vec)
                 proj = np.zeros_like(total)
                 proj[idx, idx] = 1.0
                 total += proj
@@ -727,27 +702,22 @@ def accept_reject_consistency(device: Device) -> dict:
     observable projectors.
     """
     n = device.n
+    eye = np.eye(device.block_dim, dtype=complex)
     out = {}
     for theta in (0, 1):
-        theta_vec = (theta,) * n
-        sigma = device.sigma_blocks(theta_vec)
+        sigma = device.sigma_by_v((theta,) * n)
+        singles = [
+            device.observable_matrix("Z" if theta == 0 else "X", tuple(1 if j == i else 0 for j in range(n)))
+            for i in range(n)
+        ]
         direct = 0.0
-        for (y_vec, d_vec), block in sigma.blocks.items():
-            correct = device.decode_block(theta_vec, y_vec, d_vec)
-            direct += float(np.trace(device.question_projector(theta, correct) @ block).real)
-
         via_observables = 0.0
-        eye = np.eye(device.block_dim, dtype=complex)
-        for v_vec in itertools.product((0, 1), repeat=n):
-            part = sigma_for_v(device, theta_vec, v_vec)
-            proj = eye.copy()
-            for i in range(n):
-                e_i = tuple(1 if j == i else 0 for j in range(n))
-                obs = device.observable_matrix("Z" if theta == 0 else "X", e_i)
-                proj = proj @ (0.5 * (eye + (-1.0) ** v_vec[i] * obs))
-            via_observables += float(
-                sum(np.trace(proj @ m).real for m in part.blocks.values())
-            )
+        for v_vec, block in sigma.items():
+            direct += _expect(device.question_projector(theta, v_vec), block)
+            proj = eye
+            for v, obs in zip(v_vec, singles):
+                proj = proj @ (0.5 * (eye + (-1.0) ** v * obs))
+            via_observables += _expect(proj, block)
         out[theta] = {"direct": direct, "via_observables": via_observables,
                       "gap": abs(direct - via_observables)}
     return out

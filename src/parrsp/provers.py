@@ -105,6 +105,28 @@ def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> qcore.StateVector:
     return qcore.StateVector(amps)
 
 
+def _measure_qubit(
+    state: qcore.StateVector, q: int, rng: np.random.Generator
+) -> tuple[int, qcore.StateVector]:
+    """Measure one qubit in the computational (q = 0) or Hadamard (q = 1) basis.
+
+    Returns the outcome and the post-state in the measured frame, with the
+    outcome amplitude's phase.  Draws one uniform from rng and compares it
+    with the outcome-0 probability, the same draw and decision as
+    ``qcore.measure_computational`` after ``qcore.hadamard`` when q = 1.
+    """
+    a0, a1 = state.amplitudes
+    if q == 1:
+        # the common 1/sqrt(2) of H cancels in the probabilities and the phase
+        a0, a1 = a0 + a1, a0 - a1
+    p0, p1 = abs(a0) ** 2, abs(a1) ** 2
+    bit = int(rng.random() >= p0 / (p0 + p1))
+    amp = a1 if bit else a0
+    post = np.zeros(2, dtype=complex)
+    post[bit] = amp / abs(amp)
+    return bit, qcore.StateVector(post)
+
+
 class HonestProver(LocalProver):
     """Follows the protocol exactly; succeeds with probability 1 here."""
 
@@ -132,16 +154,9 @@ class HonestProver(LocalProver):
         return equations
 
     def question_answers(self, q):
-        answers = []
-        measured = []
-        for state in self._committed:
-            if q == 1:
-                state = qcore.apply_operator(qcore.hadamard(), state, [0])
-            bits, post = qcore.measure_computational(state, [0], self._rng)
-            answers.append(bits[0])
-            measured.append(post)
-        self._committed = measured
-        return answers
+        measured = [_measure_qubit(state, q, self._rng) for state in self._committed]
+        self._committed = [post for _, post in measured]
+        return [bit for bit, _ in measured]
 
     def final_states(self):
         """Committed qubits after a preparation round (one per copy)."""

@@ -258,19 +258,6 @@ def _apply_matrix_to_density(matrix: np.ndarray, rho: np.ndarray, targets: tuple
     return tensor.reshape(dim, dim)
 
 
-def expand_operator(op: LinearOperator, targets: Sequence[int], qubit_count: int) -> LinearOperator:
-    """Embed `op` on `targets` of a `qubit_count`-qubit register, identity elsewhere."""
-    targets = _check_targets(targets, qubit_count, op.entries.shape[0])
-    dim = 2**qubit_count
-    if qubit_count > 12:
-        raise ValueError("dense operator embedding is limited to 12 qubits")
-    cols = np.eye(dim, dtype=complex)
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        out[:, j] = _apply_matrix_to_vector(op.entries, cols[:, j], targets, qubit_count)
-    return LinearOperator(out, unitary=op.unitary)
-
-
 def apply_operator(op: LinearOperator, state, targets: Sequence[int]):
     """Apply `op` on `targets`; density matrices map rho -> O rho O^dagger."""
     if isinstance(state, StateVector):

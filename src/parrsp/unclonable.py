@@ -20,7 +20,7 @@ and messages but still evaluates the conditional success exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -331,14 +331,7 @@ def cloning_experiment_classical_client(
     aborts = 0
     for t in range(trials):
         m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
-        cfg = MultiRoundConfig(
-            n=config.n,
-            m_blocks=config.m_blocks,
-            delta=config.delta,
-            width=config.width,
-            seed=int(rng.integers(0, 2**63)),
-            reveal_theta=False,
-        )
+        cfg = replace(config, seed=int(rng.integers(0, 2**63)), reveal_theta=False)
         key, states, result = cc_enc_classical_client(lam, m, cfg, prover_factory(int(rng.integers(0, 2**63))))
         if key is None:
             aborts += 1

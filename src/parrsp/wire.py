@@ -1,6 +1,7 @@
 """Wire encoding and the two-process transport.
 
-Framing: 4-byte big-endian length prefix followed by a UTF-8 JSON body.
+Framing: 4-byte big-endian length prefix followed by a UTF-8 JSON body of
+at most MAX_FRAME_BYTES bytes.
 Bit vectors travel as lowercase hex strings, most significant bit first,
 zero-padded to ceil(width/4) digits; the reader must know the width.
 
@@ -16,6 +17,11 @@ import json
 import socket
 import struct
 from typing import Sequence
+
+# Largest frame body accepted from a peer.  Session messages are far
+# smaller (a KEYS message carries about 100 bytes per copy); the limit
+# keeps a corrupt or hostile length prefix from allocating gigabytes.
+MAX_FRAME_BYTES = 1 << 24
 
 
 def int_to_hex(value: int, width: int) -> str:
@@ -61,18 +67,23 @@ def send_message(conn: socket.socket, msg: dict) -> None:
     conn.sendall(encode_message(msg))
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(conn: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        received = conn.recv_into(view[got:])
+        if not received:
             raise ConnectionError("connection closed mid-message")
-        buf += chunk
+        got += received
     return buf
 
 
 def recv_message(conn: socket.socket) -> dict:
+    """Read one frame; a length prefix above MAX_FRAME_BYTES raises ConnectionError."""
     (length,) = struct.unpack("!I", _recv_exact(conn, 4))
+    if length > MAX_FRAME_BYTES:
+        raise ConnectionError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
     body = _recv_exact(conn, length)
     return json.loads(body.decode("utf-8"))
 

@@ -139,6 +139,13 @@ class TestDiagnose:
         assert lines[0].startswith("a,b,")
         assert len(lines) == 1 + 4  # header + 4 pairs at n=1
 
+    def test_perturbed_two_copy_report(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "rsp", "diagnose", "--n", "2", "--width", "2", "--epsilon", "0.3"
+        )
+        assert code == 0
+        assert payload["bb84_max_distance"] > 0.0
+
     def test_perturbed_device(self, capsys):
         code, payload, _ = run_json(
             capsys, "rsp", "diagnose", "--n", "1", "--width", "2", "--epsilon", "0.4"

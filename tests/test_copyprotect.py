@@ -5,7 +5,7 @@ import pytest
 
 from parrsp import copyprotect as cp
 from parrsp import gf2, qcore
-from parrsp.protocol import MultiRoundConfig
+from parrsp.protocol import MultiRoundConfig, run_multi_round
 from parrsp.provers import AlwaysWrongProver, HonestProver
 
 
@@ -278,6 +278,21 @@ class TestPiracy:
         )
         assert res["success"] == 1.0
         assert res["p_trivial"] == 1.0
+
+    def test_piracy_keeps_strict_trailing(self, monkeypatch):
+        seen = []
+
+        def recording_run(config, prover, *args, **kwargs):
+            seen.append(config)
+            return run_multi_round(config, prover, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "run_multi_round", recording_run)
+        cfg = MultiRoundConfig(n=2, m_blocks=2, delta=0.05, width=4, seed=0, strict_trailing=True)
+        cp.piracy_experiment(
+            1, cp.MarkedChallenge(), cp.ForwardPirate(), cfg, trials=3, rng=np.random.default_rng(22)
+        )
+        assert len(seen) == 3
+        assert all(c.strict_trailing and not c.reveal_theta for c in seen)
 
     def test_uniform_challenge_baseline(self):
         dist = cp.UniformChallenge()

@@ -404,3 +404,121 @@ def test_key_averaging_option(dev1):
         1, 2, rng, lambda device: dg.anticommutation_value(device, 0), samples=32
     )
     assert abs(value - (-1)) < 1e-9
+
+
+class TestClassFormMatchesBlockLoop:
+    """The class-form diagnostics against the per-(y, d) block loops.
+
+    The oracle rebuilds sigma the way the diagnostics first did, from the
+    post-commitment blocks and the compressed Kraus factors, and then
+    evaluates every quantity one (y, d) block at a time.
+    """
+
+    @staticmethod
+    def kraus_blocks(device, theta):
+        anc = np.diag(device.anc_probs).astype(complex)
+        d, a = device.committed_dim, device.anc_dim
+        blocks = {}
+        for y_vec, block in device.psi_blocks(theta).items():
+            committed = np.einsum("ikjk->ij", block.reshape(d, a, d, a))
+            for d_vec in itertools.product(range(2**device.width), repeat=device.n):
+                k = np.eye(1, dtype=complex)
+                for i, (y, dd) in enumerate(zip(y_vec, d_vec)):
+                    k = np.kron(k, device.copy_kraus(theta[i], i, y, dd))
+                blocks[(y_vec, d_vec)] = np.kron(k @ committed @ k.conj().T, anc)
+        return blocks
+
+    @pytest.fixture(
+        scope="class",
+        params=[(n, eps) for n in (1, 2) for eps in (0.1, 0.3, 1.0)],
+        ids=lambda p: f"n{p[0]}-eps{p[1]}",
+    )
+    def device(self, request):
+        n, eps = request.param
+        return dg.perturb_device(dg.device_from_honest(n, 2, np.random.default_rng(500 + n)), eps)
+
+    def test_sigma_blocks_match_kraus_construction(self, device):
+        for theta in itertools.product((0, 1), repeat=device.n):
+            oracle = self.kraus_blocks(device, theta)
+            blocks = device.sigma_blocks(theta).blocks
+            assert blocks.keys() == oracle.keys()
+            assert max(np.max(np.abs(blocks[k] - oracle[k])) for k in oracle) < 1e-12
+
+    def test_bb84_report(self, device):
+        # the rounded blocks of the oracle are 4^n * block_dim wide; n = 2
+        # keeps to the all-claw-free basis to bound the number of SVDs
+        thetas = itertools.product((0, 1), repeat=device.n) if device.n == 1 else [(1, 1)]
+        for theta in thetas:
+            v_iso = dg.rounding_isometry(device, use_tilde=False)
+            q_dim = 2**device.n
+            report = dg.bb84_report(device, theta)
+            for row in report["per_v"]:
+                v_vec = tuple(row["v"])
+                ket = np.eye(1, dtype=complex)
+                for t, v in zip(theta, v_vec):
+                    e = np.eye(2, dtype=complex)[:, [v]]
+                    ket = np.kron(ket, qcore.hadamard().entries @ e if t else e)
+                bb84 = ket @ ket.conj().T
+                distance = weight = 0.0
+                for (y_vec, d_vec), block in dg.sigma_for_v(device, theta, v_vec).blocks.items():
+                    v_mat = v_iso.matrix_for(theta, y_vec, d_vec)
+                    rho = v_mat @ block @ v_mat.conj().T
+                    rest = rho.shape[0] // q_dim
+                    alpha = np.einsum("ikjk->ij", rho.reshape(rest, q_dim, rest, q_dim))
+                    distance += 0.5 * qcore.trace_norm(rho - np.kron(alpha, bb84))
+                    weight += float(np.trace(block).real)
+                assert abs(row["trace_distance"] - distance) < 1e-10
+                assert abs(row["weight"] - weight) < 1e-10
+
+    def test_anticommutation(self, device):
+        for i in range(device.n):
+            theta = tuple(int(j == i) for j in range(device.n))
+            z = device.observable_matrix("Z", theta)
+            x = device.observable_matrix("X", theta)
+            expected = sum(
+                (-1.0) ** device.copy_u(i, d_vec[i]) * np.trace(z @ x @ z @ block).real
+                for (_, d_vec), block in dg.sigma_state(device, theta).blocks.items()
+            )
+            assert abs(dg.anticommutation_value(device, i) - expected) < 1e-10
+
+    def test_success_relation_rows(self, device):
+        n = device.n
+        theta0, theta1 = (0,) * n, (1,) * n
+        sigma0, sigma1 = dg.sigma_state(device, theta0), dg.sigma_state(device, theta1)
+        eye = np.eye(device.block_dim)
+        rows = dg.success_relations_report(device)["rows"]
+        z_rows, x_rows, xt_rows = iter(rows["z"]), iter(rows["x"]), iter(rows["xtilde"])
+        for a in itertools.product((0, 1), repeat=n):
+            z = device.observable_matrix("Z", a)
+            x = device.observable_matrix("X", a)
+            for v in (0, 1):
+                for sigma, theta, obs, row in ((sigma0, theta0, z, next(z_rows)), (sigma1, theta1, x, next(x_rows))):
+                    proj = 0.5 * (eye + (-1.0) ** v * obs)
+                    lhs = rhs = 0.0
+                    for (y_vec, d_vec), block in sigma.blocks.items():
+                        decoded = device.decode_block(theta, y_vec, d_vec)
+                        if sum(p & q for p, q in zip(decoded, a)) % 2 == v:
+                            lhs += np.trace(proj @ block).real
+                            rhs += np.trace(block).real
+                    assert abs(row["lhs"] - lhs) < 1e-10 and abs(row["rhs"] - rhs) < 1e-10
+            lhs = sum(
+                (-1.0) ** device.u_vector(theta1, d_vec, a) * np.trace(x @ block).real
+                for (_, d_vec), block in sigma1.blocks.items()
+            )
+            assert abs(next(xt_rows)["lhs"] - lhs) < 1e-10
+
+    def test_isometry_relation_gap(self, device):
+        n = device.n
+        theta1 = (1,) * n
+        v_iso = dg.rounding_isometry(device, use_tilde=False)
+        vt_iso = dg.rounding_isometry(device, use_tilde=True)
+        worst = 0.0
+        for (y_vec, d_vec) in dg.sigma_state(device, theta1).blocks:
+            u_vec = tuple(device.copy_u(i, d_vec[i]) for i in range(n))
+            sz_u = qcore.pauli_string((0,) * n, u_vec).entries
+            corr = np.kron(np.eye(device.block_dim), np.kron(sz_u, sz_u))
+            gap = np.linalg.norm(
+                v_iso.matrix_for(theta1, y_vec, d_vec) - corr @ vt_iso.matrix_for(theta1, y_vec, d_vec), ord=2
+            )
+            worst = max(worst, float(gap))
+        assert abs(dg.isometry_relation_gap(device) - worst) < 1e-10

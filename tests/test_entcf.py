@@ -1,5 +1,7 @@
 """Function-pair backend: modes, claws, decodings, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,38 @@ def test_feistel_determinism():
     again = entcf.EntcfKey(mode=1, width=6, seed=kp.key.seed, delta=kp.key.delta)
     for x in range(64):
         assert entcf.eval_point(kp.key, 1, x) == entcf.eval_point(again, 1, x)
+
+
+def _round_tables_per_entry(seed, total_bits):
+    """The round tables decoded one int.from_bytes slice per entry."""
+    left_bits = (total_bits + 1) // 2
+    right_bits = total_bits - left_bits
+    tables = []
+    for rnd in range(entcf.FEISTEL_ROUNDS):
+        src_bits = right_bits if rnd % 2 == 0 else left_bits
+        dst_bits = left_bits if rnd % 2 == 0 else right_bits
+        n_entries = 1 << src_bits
+        entry_bytes = (dst_bits + 7) // 8
+        stream = b""
+        counter = 0
+        while len(stream) < n_entries * entry_bytes:
+            stream += hashlib.blake2b(
+                rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64
+            ).digest()
+            counter += 1
+        mask = (1 << dst_bits) - 1
+        tables.append(tuple(
+            int.from_bytes(stream[i * entry_bytes : (i + 1) * entry_bytes], "big") & mask
+            for i in range(n_entries)
+        ))
+    return tuple(tables), left_bits, right_bits
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 15, 16])
+def test_round_tables_match_per_entry_decoding(width):
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        seed = rng.bytes(16)
+        tables, left_bits, right_bits = entcf._round_tables(seed, width + 1)
+        decoded = tuple(tuple(table) for table in tables)
+        assert (decoded, left_bits, right_bits) == _round_tables_per_entry(seed, width + 1)

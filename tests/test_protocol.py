@@ -1,5 +1,6 @@
 """Protocol rounds, prover strategies, transcripts, and transports."""
 
+import socket
 import threading
 
 import numpy as np
@@ -361,6 +362,17 @@ class TestDeterminismAndTransport:
         thread.join(timeout=5)
         assert remote.accepted == local.accepted
         assert remote.transcript.to_bytes() == local.transcript.to_bytes()
+
+    def test_oversized_frame_is_refused(self):
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(5)  # a reader that waits for the body fails, not hangs
+            sender.sendall(b"\xff\xff\xff\xff")
+            with pytest.raises(ConnectionError, match="exceeds"):
+                wire.recv_message(receiver)
+            # a frame within the limit still reads normally
+            wire.send_message(sender, {"type": "ACK"})
+            assert wire.recv_message(receiver) == {"type": "ACK"}
 
     def test_wire_bit_encoding_roundtrip(self):
         assert wire.bits_to_hex((1, 0, 1, 1)) == "b"

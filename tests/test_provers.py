@@ -6,6 +6,8 @@ preimages of y), then Hadamard-measures the preimage register: a dense
 2^(w+1) simulation, affordable only at small widths.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,35 @@ def test_prover_final_states_match_dense_oracle(width):
         for kp, y, d, qubit in zip(keypairs, ys, ds, prover.final_states()):
             _, expected = dense_equation_branch(dense_commitment(kp.key, y), width, d)
             assert abs(qcore.fidelity(qubit, expected) - 1) < 1e-12
+
+
+def dense_question_answers(states, q, rng):
+    """Measure each qubit through the dense path: H when q = 1, then a Born draw."""
+    out = []
+    for state in states:
+        if q == 1:
+            state = qcore.apply_operator(qcore.hadamard(), state, [0])
+        bits, post = qcore.measure_computational(state, [0], rng)
+        out.append((bits[0], post))
+    return out
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_question_answers_match_dense_measurement(q):
+    rng = np.random.default_rng(40 + q)
+    for seed in range(40):
+        keypairs = [entcf.gen(int(mode), 3, rng) for mode in rng.integers(0, 2, size=4)]
+        prover = provers.HonestProver(seed=seed)
+        prover.handle(_keys_message(keypairs, seed))
+        prover.handle({"type": "ROUND_TYPE", "round": seed, "round_type": "hadamard"})
+        oracle_rng = copy.deepcopy(prover._rng)
+        expected = dense_question_answers(prover.final_states(), q, oracle_rng)
+        reply = prover.handle({"type": "QUESTION", "round": seed, "q": q})
+        assert reply["v"] == [bit for bit, _ in expected]
+        for post, (_, dense_post) in zip(prover.final_states(), expected):
+            assert np.array_equal(post.amplitudes, dense_post.amplitudes)
+        # one draw per qubit on both paths: the streams are still in step
+        assert prover._rng.random() == oracle_rng.random()
 
 
 @pytest.mark.parametrize("prover_cls", [provers.HonestProver, provers.DelayedClassicalProver])

@@ -7,7 +7,7 @@ import pytest
 
 from parrsp import gf2, qcore
 from parrsp import unclonable as uc
-from parrsp.protocol import MultiRoundConfig
+from parrsp.protocol import MultiRoundConfig, run_multi_round
 from parrsp.provers import AlwaysWrongProver, HonestProver
 
 COS2_PI8 = (2 + np.sqrt(2)) / 4  # single-qubit intermediate-basis success
@@ -176,6 +176,22 @@ class TestAttacks:
             uc.breidbart_attack(2), 2, mode="mc", trials=400, rng=np.random.default_rng(8)
         )
         assert abs(res["success"] - COS2_PI8**2) < 5 * res["stderr"] + 1e-9
+
+    def test_classical_client_keeps_strict_trailing(self, monkeypatch):
+        seen = []
+
+        def recording_run(config, prover, *args, **kwargs):
+            seen.append(config)
+            return run_multi_round(config, prover, *args, **kwargs)
+
+        monkeypatch.setattr(uc, "run_multi_round", recording_run)
+        cfg = MultiRoundConfig(n=1, m_blocks=2, delta=0.05, width=4, seed=0, strict_trailing=True)
+        uc.cloning_experiment_classical_client(
+            uc.breidbart_attack(1), 1, cfg, HonestProver, trials=3, rng=np.random.default_rng(3)
+        )
+        assert len(seen) == 3
+        assert all(c.strict_trailing and not c.reveal_theta for c in seen)
+        assert len({c.seed for c in seen}) == 3
 
     def test_classical_client_cloning(self):
         cfg = MultiRoundConfig(n=1, m_blocks=2, delta=0.05, width=4, seed=0, reveal_theta=False)
