@@ -109,9 +109,7 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
 
 def _prefix_compare_operator(lam: int, pattern: Sequence[int]) -> qcore.LinearOperator:
     """Flip the last of lam+1 qubits iff the first lam match the pattern."""
-    pattern_index = 0
-    for b in pattern:
-        pattern_index = (pattern_index << 1) | b
+    pattern_index = qcore.bits_to_index(pattern)
     dim = 2 ** (lam + 1)
     mat = np.zeros((dim, dim), dtype=complex)
     for p in range(2**lam):

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import entcf, qcore
+from . import entcf, qcore, rules
 
 MAX_DIAG_COPIES = 3
 MAX_DIAG_WIDTH = 2
@@ -167,9 +167,6 @@ class Device:
         kp = self._pair(entcf.CLAW_FREE, copy)
         return _parity(d & kp.trapdoor.delta)
 
-    def copy_b_hat(self, copy: int, y: int) -> int:
-        return entcf.decode_b(self._pair(entcf.INJECTIVE, copy).trapdoor, y)
-
     def copy_kraus(self, mode: int, copy: int, y: int, d: int) -> np.ndarray:
         """Compressed equation-measurement Kraus factor for one copy."""
         kp = self._pair(mode, copy)
@@ -246,10 +243,8 @@ class Device:
 
     def decode_block(self, theta_vec: Sequence[int], y_vec, d_vec) -> tuple[int, ...]:
         """The bit string the verifier decodes for this block."""
-        return tuple(
-            self.copy_u(i, d_vec[i]) if theta else self.copy_b_hat(i, y_vec[i])
-            for i, theta in enumerate(theta_vec)
-        )
+        trapdoors = [self._pair(theta, i).trapdoor for i, theta in enumerate(theta_vec)]
+        return rules.decode_all(trapdoors, y_vec, d_vec)
 
     def v_parity(self, theta_vec, v_vec, a: Sequence[int]) -> int:
         """Xtilde sign bit a . v_vec of a decoded string; needs theta_i = 1 where a_i = 1."""
@@ -472,7 +467,7 @@ def success_relations_report(device: Device) -> dict:
         gap = abs(lhs - 1.0)
         rows["xtilde"].append({"a": list(a), "lhs": lhs, "rhs": 1.0, "gap": gap})
         max_gap = max(max_gap, gap)
-    return {"rows": rows, "max_gap": max_gap, "gamma": gammas(device)}
+    return {"rows": rows, "max_gap": max_gap}
 
 
 def pauli_relation_value(device: Device, a: Sequence[int], b: Sequence[int]) -> complex:

@@ -250,13 +250,11 @@ def key_to_wire(key: EntcfKey) -> dict:
 
 
 def key_from_wire(obj: dict) -> EntcfKey:
+    """Inverse of :func:`key_to_wire`; mode and width must be JSON integers."""
+    if type(obj["mode"]) is not int or type(obj["width"]) is not int:
+        raise ValueError("key mode and width must be integers")
     delta = int(obj["delta_hex"], 16) if "delta_hex" in obj else None
-    return EntcfKey(
-        mode=int(obj["mode"]),
-        width=int(obj["width"]),
-        seed=bytes.fromhex(obj["seed_hex"]),
-        delta=delta,
-    )
+    return EntcfKey(mode=obj["mode"], width=obj["width"], seed=bytes.fromhex(obj["seed_hex"]), delta=delta)
 
 
 def trapdoor_from_key(key: EntcfKey) -> EntcfTrapdoor:

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .qcore import bits_to_index, index_to_bits
+
 # width -> exponents of the non-leading, non-constant terms of the reduction
 # polynomial x^w + ... + 1 (Seroussi-style low-weight table).
 _POLY_EXPONENTS: dict[int, tuple[int, ...]] = {
@@ -152,21 +154,6 @@ def all_perm_keys(width: int):
             yield PermKey(FieldElement(a, width), FieldElement(b, width))
 
 
-def bits_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bit vectors contain only 0 and 1")
-        value = (value << 1) | b
-    return value
-
-
-def int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} out of range for {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
 def pip_eval_int(key: PermKey, x: int) -> int:
     return gf_add(gf_mul(key.a, FieldElement(x, key.width)), key.b).bits
 
@@ -181,11 +168,11 @@ def pip_eval(key: PermKey, x: Sequence[int]) -> tuple[int, ...]:
     x = tuple(x)
     if len(x) != key.width:
         raise ValueError(f"input length {len(x)} does not match key width {key.width}")
-    return int_to_bits(pip_eval_int(key, bits_to_int(x)), key.width)
+    return index_to_bits(pip_eval_int(key, bits_to_index(x)), key.width)
 
 
 def pip_invert(key: PermKey, y: Sequence[int]) -> tuple[int, ...]:
     y = tuple(y)
     if len(y) != key.width:
         raise ValueError(f"input length {len(y)} does not match key width {key.width}")
-    return int_to_bits(pip_invert_int(key, bits_to_int(y)), key.width)
+    return index_to_bits(pip_invert_int(key, bits_to_index(y)), key.width)

@@ -9,7 +9,15 @@ reproducibility guarantee.
 
 Replay re-derives every verifier decision from the recorded messages alone
 (the serialized keys carry the full decoding capability in this backend)
-and reports any divergence from the recorded verdicts.
+with the live session's own rules (:mod:`parrsp.rules`).  It reports a
+mismatch, naming the field and the round, for a test round's ``flag``, the
+SUMMARY's ``flags``, ``s_blocks`` and ``r_draw`` against the seed's draws,
+the number of test ``rounds`` against the schedule (fewer only after a
+protocol abort), the ``accepted`` decision, and, in an accepted session,
+the preparation round's ``v`` and the SUMMARY's and FINAL's ``theta``
+against the preparation keys' modes.  A malformed record (a non-integer
+round, bit, width or m, a hex field not in canonical form, a missing
+message) raises TranscriptFormatError.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import entcf
-from .wire import bits_to_hex, hex_to_int
+from . import entcf, rules
+from .wire import bits_to_hex
 
 
 def canonical_json(obj) -> str:
@@ -80,7 +88,7 @@ def _load_lines(source) -> list[dict]:
     for i, line in enumerate(raw_lines):
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
             raise TranscriptFormatError(f"line {i + 1}: not valid JSON ({exc})") from exc
         if not isinstance(records[-1], dict):
             raise TranscriptFormatError(f"line {i + 1}: not a JSON object")
@@ -89,47 +97,22 @@ def _load_lines(source) -> list[dict]:
     return records
 
 
-def _group_rounds(messages: list[dict]) -> dict[int, dict[str, dict]]:
-    rounds: dict[int, dict[str, dict]] = {}
-    for msg in messages:
-        if "round" not in msg:
-            continue
-        rounds.setdefault(int(msg["round"]), {})[msg["type"]] = msg
-    return rounds
+def _commitment(bundle: dict[str, dict], n: int, width: int):
+    """A round's keys, their trapdoors (the keys carry them here) and the parsed images."""
+    keys = [entcf.key_from_wire(k) for k in rules.per_copy(bundle["KEYS"], "keys", n, "key")]
+    return keys, [entcf.trapdoor_from_key(k) for k in keys], rules.parse_images(bundle["IMAGES"], n, width)
 
 
-def _recompute_flag(bundle: dict[str, dict], width: int) -> str:
+def _recompute_flag(bundle: dict[str, dict], n: int, width: int) -> str:
     """Recompute the verifier flag for one test round from its messages."""
-    keys = [entcf.key_from_wire(k) for k in bundle["KEYS"]["keys"]]
-    trapdoors = [entcf.trapdoor_from_key(k) for k in keys]
-    images = [hex_to_int(h, width + 1) for h in bundle["IMAGES"]["y"]]
+    keys, trapdoors, images = _commitment(bundle, n, width)
     round_type = bundle["ROUND_TYPE"]["round_type"]
-    if round_type == "preimage":
-        pairs = bundle["PREIMAGES"]["pairs"]
-        ok = all(
-            entcf.chk(key, y, int(p["b"]), hex_to_int(p["x"], width))
-            for key, y, p in zip(keys, images, pairs, strict=True)
-        )
-        return "ok" if ok else "fail_Pre"
-    theta = keys[0].mode
-    equations = [hex_to_int(h, width) for h in bundle["EQUATIONS"]["d"]]
-    answers = [int(v) for v in bundle["ANSWERS"]["v"]]
-    for trapdoor, y, d, v in zip(trapdoors, images, equations, answers, strict=True):
-        expected = entcf.decode_b(trapdoor, y) if theta == 0 else entcf.decode_u(trapdoor, y, d)
-        if expected != v:
-            return "fail_Had"
-    return "ok"
-
-
-def _recompute_prep_v(bundle: dict[str, dict], width: int) -> str:
-    keys = [entcf.key_from_wire(k) for k in bundle["KEYS"]["keys"]]
-    trapdoors = [entcf.trapdoor_from_key(k) for k in keys]
-    images = [hex_to_int(h, width + 1) for h in bundle["IMAGES"]["y"]]
-    equations = [hex_to_int(h, width) for h in bundle["EQUATIONS"]["d"]]
-    v_bits = []
-    for key, trapdoor, y, d in zip(keys, trapdoors, images, equations, strict=True):
-        v_bits.append(entcf.decode_b(trapdoor, y) if key.mode == 0 else entcf.decode_u(trapdoor, y, d))
-    return bits_to_hex(v_bits)
+    if round_type == rules.PREIMAGE_ROUND:
+        return rules.preimage_flag(keys, images, rules.parse_preimages(bundle["PREIMAGES"], n, width))
+    if round_type != rules.HADAMARD_ROUND:
+        raise TranscriptFormatError(f"unknown round type {round_type!r}")
+    equations = rules.parse_equations(bundle["EQUATIONS"], n, width)
+    return rules.hadamard_flag(trapdoors, images, equations, rules.parse_answers(bundle["ANSWERS"], n))
 
 
 def replay(source) -> ReplayReport:
@@ -142,7 +125,7 @@ def replay(source) -> ReplayReport:
         return _replay_records(records)
     except TranscriptFormatError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:  # entcf.DecodeError is a ValueError
+    except (rules.ProtocolAbort, TypeError, ValueError, KeyError) as exc:  # entcf.DecodeError is a ValueError
         raise TranscriptFormatError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
 
 
@@ -152,19 +135,25 @@ def _replay_records(records: list[dict]) -> ReplayReport:
         raise TranscriptFormatError("transcript does not end with a SUMMARY record")
     messages = records[:-1]
     config = summary["config"]
-    width = int(config["width"])
-    m_blocks = int(config["m"])
-    delta = float(config["delta"])
-    if not entcf.MIN_KEY_WIDTH <= width <= entcf.MAX_KEY_WIDTH or m_blocks < 1:
+    n, width, m_blocks, seed, delta = (config[key] for key in ("n", "width", "m", "seed", "delta"))
+    if any(type(v) is not int for v in (n, width, m_blocks, seed)) or type(delta) not in (int, float):
+        raise TranscriptFormatError("session parameters n, width, m and seed must be integers")
+    if n < 1 or not entcf.MIN_KEY_WIDTH <= width <= entcf.MAX_KEY_WIDTH or m_blocks < 1 or not 0 <= delta <= 1:
         raise TranscriptFormatError(f"session parameters out of range: width {width}, m {m_blocks}")
-    strict = bool(config.get("strict_trailing", False))
     protocol_abort = str(summary.get("abort_reason") or "").startswith("protocol abort")
-
-    rounds = _group_rounds(messages)
     report = ReplayReport(ok=True)
 
+    def mismatch(round_index, name: str, recorded, recomputed) -> None:
+        report.mismatches.append({"round": round_index, "field": name, "recorded": recorded, "recomputed": recomputed})
+
+    rounds: dict[int, dict[str, dict]] = {}
+    for msg in messages:
+        if "round" in msg:  # FINAL has none
+            if type(msg["round"]) is not int:
+                raise TranscriptFormatError(f"round {msg['round']!r} is not an integer")
+            rounds.setdefault(msg["round"], {})[msg["type"]] = msg
     test_flags: list[str] = []
-    prep_round_index = None
+    prep_round = None
     for idx in sorted(rounds):
         bundle = rounds[idx]
         required = {"KEYS", "IMAGES", "ROUND_TYPE"}
@@ -173,69 +162,60 @@ def _replay_records(records: list[dict]) -> ReplayReport:
                 continue  # the prover reply that ended the session was rejected unrecorded
             raise TranscriptFormatError(f"round {idx} is missing {required - bundle.keys()}")
         if "VERDICT" not in bundle:
-            prep_round_index = idx
+            prep_round = idx
             continue
-        recomputed = _recompute_flag(bundle, width)
-        recorded = bundle["VERDICT"]["flag"]
-        if recomputed != recorded:
-            report.ok = False
-            report.mismatches.append(
-                {"round": idx, "field": "flag", "recorded": recorded, "recomputed": recomputed}
-            )
-        test_flags.append(recomputed)
-        report.rounds_checked += 1
+        test_flags.append(_recompute_flag(bundle, n, width))
+        if bundle["VERDICT"]["flag"] != test_flags[-1]:
+            mismatch(idx, "flag", bundle["VERDICT"]["flag"], test_flags[-1])
+    report.rounds_checked = len(test_flags)
+    if summary.get("flags") != test_flags:
+        mismatch(None, "flags", summary.get("flags"), test_flags)
 
-    # recorded flag list must match the per-round verdicts
-    if list(summary.get("flags", [])) != [rounds[i]["VERDICT"]["flag"] for i in sorted(rounds) if "VERDICT" in rounds[i]]:
-        report.ok = False
-        report.mismatches.append({"round": None, "field": "flags", "recorded": summary.get("flags")})
+    # replay the session schedule over the recomputed flags
+    s_blocks, r_draw, _ = rules.session_draws(seed, m_blocks)
+    for name, drawn in (("s_blocks", s_blocks), ("r_draw", r_draw)):
+        if summary.get(name) != drawn:
+            mismatch(None, name, summary.get(name), drawn)
+    played = 0
 
-    # re-derive the accept/abort decision from recomputed flags
-    s_blocks = summary.get("s_blocks")
-    r_draw = summary.get("r_draw")
-    accepted_recomputed = not protocol_abort
-    if accepted_recomputed and s_blocks is not None:
-        pos = 0
-        for block in range(int(s_blocks)):
-            chunk = test_flags[pos : pos + m_blocks]
-            if len(chunk) < m_blocks:
-                break  # aborted inside this block's recording
-            failures = sum(1 for f in chunk if f != "ok")
-            pos += m_blocks
-            if failures / m_blocks > delta:
-                accepted_recomputed = False
-                break
-        if accepted_recomputed and strict and r_draw is not None:
-            trailing = test_flags[pos : pos + int(r_draw) - 1]
-            if trailing and sum(1 for f in trailing if f != "ok") / len(trailing) > delta:
-                accepted_recomputed = False
-    if bool(summary["accepted"]) != accepted_recomputed:
-        report.ok = False
-        report.mismatches.append(
-            {
-                "round": None,
-                "field": "accepted",
-                "recorded": summary["accepted"],
-                "recomputed": accepted_recomputed,
-            }
+    def replay_round() -> str:
+        nonlocal played
+        if played == len(test_flags):
+            raise rules.ProtocolAbort("the schedule plays more test rounds than were recorded")
+        played += 1
+        return test_flags[played - 1]
+
+    try:
+        abort_block, _ = rules.run_schedule(
+            m_blocks, s_blocks, r_draw, delta, bool(config.get("strict_trailing", False)), replay_round
         )
+        scheduled = played
+    except rules.ProtocolAbort:
+        abort_block, scheduled = -1, f"more than {played}"
+    if scheduled != len(test_flags) and not (protocol_abort and abort_block == -1):
+        mismatch(None, "rounds", len(test_flags), scheduled)  # fewer only after a protocol abort
+    accepted = abort_block is None and not protocol_abort
+    if summary["accepted"] is not accepted:
+        mismatch(None, "accepted", summary["accepted"], accepted)
 
-    if summary["accepted"]:
-        if prep_round_index is None:
+    if accepted:
+        if prep_round is None:
             raise TranscriptFormatError("accepted run lacks a preparation round")
-        v_recomputed = _recompute_prep_v(rounds[prep_round_index], width)
-        if v_recomputed != summary.get("v"):
-            report.ok = False
-            report.mismatches.append(
-                {
-                    "round": prep_round_index,
-                    "field": "v",
-                    "recorded": summary.get("v"),
-                    "recomputed": v_recomputed,
-                }
-            )
+        keys, trapdoors, images = _commitment(rounds[prep_round], n, width)
+        equations = rules.parse_equations(rounds[prep_round]["EQUATIONS"], n, width)
+        v = bits_to_hex(rules.decode_all(trapdoors, images, equations))
+        theta = bits_to_hex([key.mode for key in keys])
+        final = next((msg for msg in messages if msg.get("type") == "FINAL"), {})
+        for name, recorded, recomputed in (
+            ("v", summary.get("v"), v),
+            ("theta", summary.get("theta"), theta),
+            ("theta", final.get("theta", theta), theta),
+        ):
+            if recorded != recomputed:
+                mismatch(prep_round, name, recorded, recomputed)
         report.rounds_checked += 1
 
+    report.ok = not report.mismatches
     if not report.ok:
         report.note = f"{len(report.mismatches)} divergence(s)"
     return report

@@ -122,10 +122,7 @@ def cc_average_ciphertext(lam: int, m: Sequence[int]) -> qcore.DensityMatrix:
     acc = np.zeros((dim, dim), dtype=complex)
     for r_int in range(dim):
         for t_int in range(dim):
-            key = ConjKey(
-                tuple((r_int >> (lam - 1 - i)) & 1 for i in range(lam)),
-                tuple((t_int >> (lam - 1 - i)) & 1 for i in range(lam)),
-            )
+            key = ConjKey(qcore.index_to_bits(r_int, lam), qcore.index_to_bits(t_int, lam))
             psi = cc_enc(key, m).amplitudes
             acc += np.outer(psi, psi.conj())
     return qcore.DensityMatrix(acc / 4**lam, weight=1.0)
@@ -169,10 +166,8 @@ class CloningAttack:
 
 
 def _basis_proj(bits: Sequence[int]) -> np.ndarray:
-    dim = 2 ** len(tuple(bits))
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
+    dim = 2 ** len(bits)
+    idx = qcore.bits_to_index(bits)
     out = np.zeros((dim, dim), dtype=complex)
     out[idx, idx] = 1.0
     return out
@@ -180,7 +175,7 @@ def _basis_proj(bits: Sequence[int]) -> np.ndarray:
 
 def _all_bitstrings(lam: int):
     for v in range(2**lam):
-        yield tuple((v >> (lam - 1 - i)) & 1 for i in range(lam))
+        yield qcore.index_to_bits(v, lam)
 
 
 class ForwardAttack(CloningAttack):

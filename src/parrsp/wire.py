@@ -9,14 +9,19 @@ Message types exchanged during a session: KEYS, IMAGES, ROUND_TYPE,
 PREIMAGES, EQUATIONS, QUESTION, ANSWERS, VERDICT, FINAL.  The transport
 additionally uses ACK replies to VERDICT/FINAL so that every message on
 the socket has exactly one response; ACKs never appear in transcripts.
+A prover that cannot handle a message answers ERROR (with a reason) and
+closes the connection; the verifier then aborts the session.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
 from typing import Sequence
+
+from .qcore import bits_to_index, index_to_bits
 
 # Largest frame body accepted from a peer.  Session messages are far
 # smaller (a KEYS message carries about 100 bytes per copy); the limit
@@ -33,11 +38,14 @@ def int_to_hex(value: int, width: int) -> str:
 
 
 def hex_to_int(text: str, width: int) -> int:
+    """Inverse of :func:`int_to_hex`; only the string it writes is accepted."""
     if not isinstance(text, str):
         raise ValueError(f"expected hex string, got {type(text).__name__}")
     value = int(text, 16)
     if not 0 <= value < (1 << width):
         raise ValueError(f"hex value {text!r} out of range for {width} bits")
+    if format(value, f"0{(width + 3) // 4}x") != text:
+        raise ValueError(f"hex value {text!r} is not the canonical {width}-bit encoding")
     return value
 
 
@@ -45,17 +53,11 @@ def bits_to_hex(bits: Sequence[int]) -> str:
     bits = tuple(bits)
     if not bits:
         raise ValueError("cannot encode an empty bit vector")
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bit vectors contain only 0 and 1")
-        value = (value << 1) | b
-    return int_to_hex(value, len(bits))
+    return int_to_hex(bits_to_index(bits), len(bits))
 
 
 def hex_to_bits(text: str, width: int) -> tuple[int, ...]:
-    value = hex_to_int(text, width)
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    return index_to_bits(hex_to_int(text, width), width)
 
 
 def encode_message(msg: dict) -> bytes:
@@ -93,10 +95,16 @@ class SocketProverClient:
 
     def __init__(self, conn: socket.socket):
         self.conn = conn
+        self.peer_error: dict | None = None
 
     def handle(self, msg: dict) -> dict | None:
+        if self.peer_error is not None:
+            return None  # the prover closed the session; nothing reaches it any more
         send_message(self.conn, msg)
         reply = recv_message(self.conn)
+        if isinstance(reply, dict) and reply.get("type") == "ERROR":
+            self.peer_error = reply
+            return reply  # never the awaited reply, so the verifier aborts
         if msg["type"] in ("VERDICT", "FINAL"):
             if reply.get("type") != "ACK":
                 raise ConnectionError(f"expected ACK, got {reply!r}")
@@ -116,13 +124,24 @@ class SocketProverClient:
 
 
 def serve_prover_connection(conn: socket.socket, prover) -> None:
-    """Answer one verifier session on an open connection, then return."""
+    """Answer one verifier session on an open connection, then return.
+
+    A frame that is not JSON, or a message the prover cannot handle, ends
+    the session with an ERROR reply.
+    """
     while True:
         try:
             msg = recv_message(conn)
+            reply = prover.handle(msg)
         except ConnectionError:
             return
-        reply = prover.handle(msg)
+        except Exception as exc:  # a bad message ends this session, not the server
+            import logging  # here, not at the top: only this path needs it, and start-up stays short
+
+            logging.getLogger(__name__).exception("prover session closed on a bad message")
+            with contextlib.suppress(OSError):
+                send_message(conn, {"type": "ERROR", "reason": f"{type(exc).__name__}: {exc}"})
+            return
         if msg["type"] in ("VERDICT", "FINAL"):
             send_message(conn, {"type": "ACK"})
             if msg["type"] == "FINAL":

@@ -110,9 +110,33 @@ class TestTranscriptVerify:
         assert code == 1
         assert payload["ok"] is False and payload["error"]
 
+    @pytest.mark.parametrize(
+        "rtype, path",
+        [("IMAGES", ("round",)), ("SUMMARY", ("config", "width")), ("SUMMARY", ("config", "m"))],
+        ids=["round", "width", "m"],
+    )
+    def test_overflowing_number_exits_1(self, capsys, tmp_path, rtype, path):
+        # 1e999 reads as float infinity; int() of it raises OverflowError
+        trans = self._write_run(capsys, tmp_path)
+        records = [json.loads(l) for l in trans.read_text().splitlines()]
+        target = next(r for r in records if r["type"] == rtype)
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@huge@"
+        trans.write_text("".join(json.dumps(r).replace('"@huge@"', "1e999") + "\n" for r in records))
+        code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(trans))
+        assert code == 1
+        assert payload["ok"] is False and payload["error"]
+
     def test_garbage_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not json\n")
+        code, _, _ = run_json(capsys, "transcript", "verify", "--file", str(path))
+        assert code == 1
+
+    def test_deeply_nested_line_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
         code, _, _ = run_json(capsys, "transcript", "verify", "--file", str(path))
         assert code == 1
 

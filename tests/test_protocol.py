@@ -1,5 +1,6 @@
 """Protocol rounds, prover strategies, transcripts, and transports."""
 
+import json
 import socket
 import threading
 
@@ -462,3 +463,159 @@ class TestTranscriptReplay:
         report = transcript.replay(lines)
         assert not report.ok
         assert any(m["field"] == "v" for m in report.mismatches)
+
+
+def _find_session(predicate, prover_cls=provers.HonestProver, **kw):
+    """First seeded session (n=2, m=3 unless overridden) whose result satisfies predicate."""
+    for seed in range(200):
+        res = protocol.run_multi_round(config(**{"n": 2, "m": 3, "seed": seed, **kw}), prover_cls(seed=seed))
+        if predicate(res):
+            return res
+    pytest.fail("no seed gives the session shape the test needs")
+
+
+def _has(res, mtype):
+    return any(f'"type":"{mtype}"' in line for line in res.transcript.lines)
+
+
+class TestStrictWireTypes:
+    @pytest.mark.parametrize(
+        "mtype, corrupt",
+        [
+            ("PREIMAGES", lambda r: r["pairs"][0].update(b=float("inf"))),
+            ("PREIMAGES", lambda r: r["pairs"][0].update(b=True)),
+            ("ANSWERS", lambda r: r["v"].__setitem__(0, float(r["v"][0]))),
+            ("ANSWERS", lambda r: r["v"].__setitem__(0, bool(r["v"][0]))),
+            ("IMAGES", lambda r: r["y"].__setitem__(0, r["y"][0].upper() + " ")),
+            ("IMAGES", lambda r: r["y"].__setitem__(0, "0" + r["y"][0])),
+            ("EQUATIONS", lambda r: r["d"].__setitem__(0, " " + r["d"][0])),
+        ],
+        ids=["b-infinity", "b-bool", "v-float", "v-bool", "y-not-canonical", "y-padded", "d-spaced"],
+    )
+    def test_non_integer_bit_or_hex_aborts(self, mtype, corrupt):
+        class Corrupting(provers.HonestProver):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if reply is not None and reply["type"] == mtype:
+                    corrupt(reply)
+                return reply
+
+        res = _find_session(lambda r: _has(r, mtype) and not r.accepted, Corrupting)
+        assert res.abort_block == -1 and res.abort_reason.startswith("protocol abort")
+        assert transcript.replay(res.transcript).ok
+
+    def test_non_canonical_hex_in_transcript_is_format_error(self):
+        res = _find_session(lambda r: r.accepted)
+        lines = res.transcript.lines
+        idx = next(i for i, l in enumerate(lines) if '"IMAGES"' in l)
+        msg = json.loads(lines[idx])
+        msg["y"][0] = "0" + msg["y"][0]
+        lines[idx] = transcript.canonical_json(msg)
+        with pytest.raises(transcript.TranscriptFormatError):
+            transcript.replay(lines)
+
+
+def _edit(lines, record_type, **changes):
+    out = []
+    for line in lines:
+        msg = json.loads(line)
+        if msg["type"] == record_type:
+            msg.update(changes)
+        out.append(transcript.canonical_json(msg))
+    return out
+
+
+def _fields(report):
+    return {m["field"] for m in report.mismatches}
+
+
+class TestReplaySessionShape:
+    def test_theta_must_match_prep_key_modes(self):
+        res = _find_session(lambda r: r.accepted)
+        flipped = wire.bits_to_hex([1 - t for t in res.theta_vec])
+        for record_type in ("SUMMARY", "FINAL"):
+            report = transcript.replay(_edit(res.transcript.lines, record_type, theta=flipped))
+            assert not report.ok and _fields(report) == {"theta"}
+
+    @pytest.mark.parametrize("field", ["s_blocks", "r_draw"])
+    def test_schedule_draws_must_match_seed(self, field):
+        res = _find_session(lambda r: r.accepted and r.s_blocks > 0 and r.r_draw > 1)
+        report = transcript.replay(_edit(res.transcript.lines, "SUMMARY", **{field: 0}))
+        assert not report.ok and field in _fields(report)
+
+    @pytest.mark.parametrize("drop", ["round-0", "all-test-rounds"])
+    def test_deleted_test_rounds_are_reported(self, drop):
+        res = _find_session(lambda r: r.accepted and len(r.flags) >= 2)
+        gone = {0} if drop == "round-0" else set(range(len(res.flags)))
+        kept = [l for l in res.transcript.lines if json.loads(l).get("round") not in gone]
+        # keep the summary's flag list consistent with what is left
+        flags = [f for i, f in enumerate(res.flags) if i not in gone]
+        report = transcript.replay(_edit(kept, "SUMMARY", flags=flags))
+        assert not report.ok and "rounds" in _fields(report)
+
+
+class TestProverServerErrors:
+    BAD_KEYS = {"type": "KEYS", "session": "s", "round": 0, "keys": [{"mode": 0}]}
+
+    def test_bad_message_gets_error_reply(self):
+        server, client = socket.socketpair()
+        with server, client:
+            client.settimeout(10)
+            thread = threading.Thread(
+                target=wire.serve_prover_connection, args=(server, provers.HonestProver(0))
+            )
+            thread.start()
+            wire.send_message(client, self.BAD_KEYS)
+            reply = wire.recv_message(client)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert reply["type"] == "ERROR" and "KeyError" in reply["reason"]
+
+    def test_verifier_aborts_on_error_reply(self):
+        class FailsInRoundOne(provers.HonestProver):
+            def handle(self, msg):
+                if msg.get("round") == 1:
+                    raise ValueError("cannot answer")
+                return super().handle(msg)
+
+        cfg = next(c for c in (config(m=3, seed=s) for s in range(50))
+                   if protocol.run_multi_round(c, provers.HonestProver(0)).flags)
+        server, client = socket.socketpair()
+        with server, client:
+            client.settimeout(10)
+            thread = threading.Thread(
+                target=wire.serve_prover_connection, args=(server, FailsInRoundOne(0))
+            )
+            thread.start()
+            res = protocol.run_multi_round(cfg, wire.SocketProverClient(client))
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert not res.accepted and res.abort_block == -1
+        assert "ERROR" in res.abort_reason and "cannot answer" in res.abort_reason
+        assert transcript.replay(res.transcript).ok
+
+    def test_server_goes_on_to_next_session(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=wire.serve_prover,
+            args=("127.0.0.1", port, lambda: provers.HonestProver(seed=5)),
+            kwargs={"sessions": 2, "ready_event": ready},
+        )
+        thread.start()
+        assert ready.wait(timeout=10)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            wire.send_message(conn, self.BAD_KEYS)
+            assert wire.recv_message(conn)["type"] == "ERROR"
+        cfg = config(n=2, m=3, seed=42)
+        client = wire.SocketProverClient.connect("127.0.0.1", port)
+        client.conn.settimeout(10)
+        remote = protocol.run_multi_round(cfg, client)
+        client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        local = protocol.run_multi_round(cfg, provers.HonestProver(seed=5))
+        assert remote.transcript.to_bytes() == local.transcript.to_bytes()
