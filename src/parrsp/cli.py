@@ -194,9 +194,11 @@ def cmd_rsp_run(args) -> int:
         endpoint = wire.SocketProverClient.connect(host, int(port))
     else:
         endpoint = _prover_factory(args.prover, derive_seed(args.seed, "prover"))
-    result = protocol.run_multi_round(config, endpoint)
-    if args.connect:
-        endpoint.close()
+    try:
+        result = protocol.run_multi_round(config, endpoint)
+    finally:
+        if args.connect:
+            endpoint.close()
     if args.transcript:
         result.transcript.save(args.transcript)
     payload = {

@@ -28,7 +28,7 @@ GATE_SET = ("X", "Z", "H", "S", "CNOT", "T")
 _GATES_1Q = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "H": qcore.hadamard().entries,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
 }

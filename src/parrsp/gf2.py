@@ -92,20 +92,29 @@ def gf_add(x: FieldElement, y: FieldElement) -> FieldElement:
     return FieldElement(x.bits ^ y.bits, x.width)
 
 
-def gf_inv(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse via x^(2^w - 2); raises on zero."""
-    if x.bits == 0:
+def _inv_int(x: int, width: int) -> int:
+    """Inverse by the extended Euclidean algorithm over GF(2)[x].
+
+    Keeps x*g1 = u and x*g2 = v modulo the field polynomial while cancelling
+    the leading term of the longer of u and v; stops when u = 1.
+    """
+    if x == 0:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    # square-and-multiply for the exponent 2^w - 2 = 0b111...10
-    result = FieldElement(1, x.width)
-    base = x
-    exponent = (1 << x.width) - 2
-    while exponent:
-        if exponent & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
-        exponent >>= 1
-    return result
+    u, v = x, REDUCTION_POLYNOMIALS[width]
+    g1, g2 = 1, 0
+    while u != 1:
+        shift = u.bit_length() - v.bit_length()
+        if shift < 0:
+            u, v, g1, g2 = v, u, g2, g1
+            shift = -shift
+        u ^= v << shift
+        g1 ^= g2 << shift
+    return g1
+
+
+def gf_inv(x: FieldElement) -> FieldElement:
+    """Multiplicative inverse; raises on zero."""
+    return FieldElement(_inv_int(x.bits, x.width), x.width)
 
 
 @dataclass(frozen=True)
@@ -154,13 +163,19 @@ def all_perm_keys(width: int):
             yield PermKey(FieldElement(a, width), FieldElement(b, width))
 
 
+def _check_value(x: int, width: int) -> int:
+    if not 0 <= x < (1 << width):
+        raise ValueError(f"value {x} does not fit in {width} bits")
+    return x
+
+
 def pip_eval_int(key: PermKey, x: int) -> int:
-    return gf_add(gf_mul(key.a, FieldElement(x, key.width)), key.b).bits
+    return _clmul_reduce(key.a.bits, _check_value(x, key.width), key.width) ^ key.b.bits
 
 
 def pip_invert_int(key: PermKey, y: int) -> int:
-    shifted = FieldElement(y ^ key.b.bits, key.width)
-    return gf_mul(gf_inv(key.a), shifted).bits
+    shifted = _check_value(y, key.width) ^ key.b.bits
+    return _clmul_reduce(_inv_int(key.a.bits, key.width), shifted, key.width)
 
 
 def pip_eval(key: PermKey, x: Sequence[int]) -> tuple[int, ...]:

@@ -2,7 +2,9 @@
 
 A prover is anything with ``handle(msg) -> reply | None`` obeying the wire
 contract (KEYS -> IMAGES, ROUND_TYPE -> PREIMAGES or EQUATIONS,
-QUESTION -> ANSWERS, VERDICT/FINAL -> no reply).  Everything here keeps a
+QUESTION -> ANSWERS, VERDICT/FINAL -> no reply).  ``LocalProver.handle``
+raises ValueError on a `round` or `q` that is not a JSON integer (`q` must
+be a bit) and on an unknown `round_type`.  Everything here keeps a
 per-round derived RNG so behavior is identical in-process and over a
 socket.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import entcf, qcore
+from .rules import PREIMAGE_ROUND, ROUND_TYPES
 from .seeds import derived_rng
 from .wire import int_to_hex
 
@@ -42,7 +45,7 @@ class LocalProver:
     def handle(self, msg: dict) -> dict | None:
         mtype = msg.get("type")
         if mtype == "KEYS":
-            self._round = int(msg["round"])
+            self._round = _wire_int(msg, "round")
             self._rng = derived_rng(self.seed, "prover", self._round)
             self._keys = [entcf.key_from_wire(k) for k in msg["keys"]]
             self._width = self._keys[0].width
@@ -53,7 +56,9 @@ class LocalProver:
                 "y": [int_to_hex(y, self._width + 1) for y in images],
             }
         if mtype == "ROUND_TYPE":
-            if msg["round_type"] == "preimage":
+            if msg["round_type"] not in ROUND_TYPES:
+                raise ValueError(f"unknown round type {msg['round_type']!r}")
+            if msg["round_type"] == PREIMAGE_ROUND:
                 pairs = self.preimage_answers()
                 return {
                     "type": "PREIMAGES",
@@ -67,7 +72,10 @@ class LocalProver:
                 "d": [int_to_hex(d, self._width) for d in equations],
             }
         if mtype == "QUESTION":
-            return {"type": "ANSWERS", "round": self._round, "v": self.question_answers(int(msg["q"]))}
+            q = _wire_int(msg, "q")
+            if q not in (0, 1):
+                raise ValueError(f"question basis {q} is not a bit")
+            return {"type": "ANSWERS", "round": self._round, "v": self.question_answers(q)}
         if mtype in ("VERDICT", "FINAL"):
             return None
         raise ValueError(f"unknown message type {mtype!r}")
@@ -88,6 +96,14 @@ class LocalProver:
 
     def final_states(self):
         return None
+
+
+def _wire_int(msg: dict, field: str) -> int:
+    """`msg[field]`, which must be a JSON integer (no bool, no float)."""
+    value = msg[field]
+    if type(value) is not int:
+        raise ValueError(f"{msg.get('type')} field {field!r} must be an integer, got {value!r}")
+    return value
 
 
 def claw_terms(key: entcf.EntcfKey, b: int, x: int) -> tuple[tuple[int, int], ...]:

@@ -12,16 +12,25 @@ both mu bits.  The WKD transform wraps the 2*lambda-qubit inner scheme, so
 its keys are the full serialized inner key: 4*lambda bits, permuted by an
 affine map over GF(2^(4*lambda)).
 
+Product form.  An honest ciphertext is a product of BB84 qubits: qubit i
+is the padded bit m_i XOR r_i in basis theta_i.  ``ConjCiphertext`` keeps
+exactly that pair of bit vectors, and WKD ciphertexts carry it.  Decoding
+it under a key needs no matrix: qubit i gives its bit where the bases
+agree and a uniform bit where they differ.  The dense state is built only
+where something needs it: an attack's ``split``, a decoder POVM, or a
+caller of ``to_state``/``to_density``.
+
 The cloning harness is exact where feasible: attacks expose their splitting
 channel and per-key decoder POVMs, so success probabilities are computed
-as closed traces with no sampling noise.  Monte Carlo mode samples keys
-and messages but still evaluates the conditional success exactly.
+as closed traces with no sampling noise.  A ciphertext depends on the key
+and message only through (m XOR r, theta), so the exhaustive mode splits
+each distinct ciphertext once.  Monte Carlo mode samples keys and messages
+but still evaluates the conditional success exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +45,13 @@ _SIN = np.sin(np.pi / 8)
 BREIDBART_SINGLE_SUCCESS = float(_COS**2)
 
 
+def _check_bit_pair(bits: tuple[int, ...], bases: tuple[int, ...], what: str) -> None:
+    if len(bits) != len(bases):
+        raise ValueError(f"{what}: bit and basis vectors must have equal length")
+    if any(b not in (0, 1) for b in bits + bases):
+        raise ValueError(f"{what} components must be bit vectors")
+
+
 @dataclass(frozen=True)
 class ConjKey:
     """One-time-pad bits and basis bits, one of each per message bit."""
@@ -44,14 +60,28 @@ class ConjKey:
     theta: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.r) != len(self.theta):
-            raise ValueError("pad and basis vectors must have equal length")
-        if any(b not in (0, 1) for b in self.r + self.theta):
-            raise ValueError("key components must be bit vectors")
+        _check_bit_pair(self.r, self.theta, "key")
 
     @property
     def bits(self) -> int:
         return len(self.r)
+
+
+@dataclass(frozen=True)
+class ConjCiphertext:
+    """Honest ciphertext in product form: qubit i is |bits_i> in basis bases_i."""
+
+    bits: tuple[int, ...]
+    bases: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_bit_pair(self.bits, self.bases, "ciphertext")
+
+    def to_state(self) -> qcore.StateVector:
+        return qcore.hadamard_layer(qcore.StateVector.basis_state(self.bits), self.bases)
+
+    def to_density(self) -> qcore.DensityMatrix:
+        return self.to_state().to_density()
 
 
 def _check_message(m: Sequence[int], bits: int) -> tuple[int, ...]:
@@ -71,44 +101,51 @@ def cc_keygen(lam: int, rng: np.random.Generator) -> ConjKey:
     return ConjKey(r, theta)
 
 
-def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
+def cc_enc_product(key: ConjKey, m: Sequence[int]) -> ConjCiphertext:
     """Product ciphertext: qubit i carries m_i XOR r_i in basis theta_i."""
     m = _check_message(m, key.bits)
-    state = qcore.StateVector.basis_state([mi ^ ri for mi, ri in zip(m, key.r)])
-    return qcore.hadamard_layer(state, key.theta)
+    return ConjCiphertext(tuple(mi ^ ri for mi, ri in zip(m, key.r)), key.theta)
 
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
+def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
+    """Dense form of :func:`cc_enc_product`."""
+    return cc_enc_product(key, m).to_state()
 
 
-@lru_cache(maxsize=4096)
-def _layer_matrix(theta: tuple[int, ...]) -> np.ndarray:
-    full = _H2 if theta[0] else _I2
-    for bit in theta[1:]:
-        full = np.kron(full, _H2 if bit else _I2)
-    full.setflags(write=False)
-    return full
+# per-qubit Born law of a product ciphertext measured in the key's basis
+_ONE_HOT = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+_UNIFORM = np.array([0.5, 0.5])
+
+
+def _product_outcome(theta: tuple[int, ...], ct: ConjCiphertext, rng) -> tuple[int, ...]:
+    """Measurement outcome of a product ciphertext in the bases `theta`.
+
+    Where the bases differ the outcome is drawn from the whole register's
+    marginal with one ``rng.choice``, the draw measuring the dense state
+    makes, so seeded runs match the dense path.
+    """
+    if len(ct.bits) != len(theta):
+        raise ValueError(f"ciphertext of {len(ct.bits)} qubits does not match a {len(theta)}-bit key")
+    if ct.bases == theta:
+        return ct.bits
+    if rng is None:
+        raise ValueError("non-deterministic decryption requires an rng")
+    marg = np.ones(1)
+    for bit, basis, t in zip(ct.bits, ct.bases, theta):
+        marg = np.outer(marg, _ONE_HOT[bit] if basis == t else _UNIFORM).ravel()
+    index = int(rng.choice(marg.shape[0], p=marg / marg.sum()))
+    return qcore.index_to_bits(index, len(theta))
 
 
 def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """Undo the basis layer, measure, strip the pad.
 
-    Honest ciphertexts decode deterministically; anything else needs an rng
-    to sample the measurement.
+    A ``ConjCiphertext`` decodes in closed form; a dense state is rotated
+    and measured.  Honest ciphertexts decode deterministically; anything
+    else needs an rng to sample the measurement.
     """
-    if isinstance(state, qcore.DensityMatrix):
-        # only the rotated diagonal matters: diag(U rho U) = sum_b (U rho)_ib U_ib
-        u = _layer_matrix(key.theta)
-        marg = np.clip(np.real(((u @ state.entries) * u.conj()).sum(axis=1)), 0.0, None)
-        support = np.flatnonzero(marg > 1e-12)
-        if support.shape[0] == 1:
-            index = int(support[0])
-        else:
-            if rng is None:
-                raise ValueError("non-deterministic decryption requires an rng")
-            index = int(rng.choice(marg.shape[0], p=marg / marg.sum()))
-        bits = qcore.index_to_bits(index, key.bits)
+    if isinstance(state, ConjCiphertext):
+        bits = _product_outcome(key.theta, state, rng)
     else:
         rotated = qcore.hadamard_layer(state, key.theta)
         bits = qcore.sample_outcome(rotated, range(key.bits), rng)
@@ -192,18 +229,9 @@ class ForwardAttack(CloningAttack):
 
     def decoder_povm_b(self, key: ConjKey):
         povm = {}
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for m in _all_bitstrings(self.lam):
-            kets = []
-            for mi, ri, ti in zip(m, key.r, key.theta):
-                ket = np.eye(2, dtype=complex)[:, mi ^ ri]
-                if ti:
-                    ket = h @ ket
-                kets.append(ket)
-            joint = kets[0]
-            for k in kets[1:]:
-                joint = np.kron(joint, k)
-            povm[m] = np.outer(joint, joint.conj())
+            psi = cc_enc(key, m).amplitudes
+            povm[m] = np.outer(psi, psi.conj())
         return povm
 
     def decoder_povm_c(self, key: ConjKey):
@@ -219,23 +247,21 @@ class BreidbartAttack(CloningAttack):
         self.lam = lam
         self.b_qubits = lam
         self.c_qubits = lam
-        b0 = np.array([_COS, _SIN], dtype=complex)
-        b1 = np.array([-_SIN, _COS], dtype=complex)
-        self._single = [np.outer(b0, b0.conj()), np.outer(b1, b1.conj())]
+        # row w is <beta_w|, the intermediate-basis bra of outcome w (real)
+        single = np.array([[_COS, _SIN], [-_SIN, _COS]])
+        bras = single
+        for _ in range(lam - 1):
+            bras = np.kron(bras, single)
+        self._bras = bras
+        dim = 2**lam
+        self._markers = np.arange(dim) * (dim + 1)  # index of |w>|w> on BC
 
     def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
-        lam = self.lam
-        dim = 2**lam
+        # p(w) = <beta_w| rho |beta_w>: the diagonal of rho in the rotated basis
+        p = np.real(((self._bras @ ciphertext.entries) * self._bras).sum(axis=1))
+        dim = 2**self.lam
         out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for w in _all_bitstrings(lam):
-            proj = self._single[w[0]]
-            for bit in w[1:]:
-                proj = np.kron(proj, self._single[bit])
-            p = float(np.trace(proj @ ciphertext.entries).real)
-            if p <= 1e-16:
-                continue
-            marker = _basis_proj(w)
-            out += p * np.kron(marker, marker)
+        out[self._markers, self._markers] = np.where(p > 1e-16, p, 0.0)
         return qcore.DensityMatrix(out, weight=ciphertext.weight)
 
     def _relabel_povm(self, key: ConjKey):
@@ -256,13 +282,17 @@ def forward_attack(lam: int) -> CloningAttack:
     return ForwardAttack(lam)
 
 
+def _joint_success(e_b: np.ndarray, e_c: np.ndarray, rho_bc: qcore.DensityMatrix) -> float:
+    """Tr[(E_b (x) E_c) rho_BC], contracted over the reshaped rho without the kron."""
+    db, dc = e_b.shape[0], e_c.shape[0]
+    rho = rho_bc.entries.reshape(db, dc, db, dc)
+    return float(np.einsum("ij,kl,jlik->", e_b, e_c, rho).real)
+
+
 def _attack_success_given(attack: CloningAttack, key: ConjKey, m: tuple[int, ...]) -> float:
     """Exact success probability of one (key, message) instance."""
     rho_bc = attack.split(cc_enc(key, m).to_density())
-    e_b = attack.decoder_povm_b(key)[m]
-    e_c = attack.decoder_povm_c(key)[m]
-    joint = np.kron(e_b, e_c)
-    return float(np.trace(joint @ rho_bc.entries).real)
+    return _joint_success(attack.decoder_povm_b(key)[m], attack.decoder_povm_c(key)[m], rho_bc)
 
 
 def cloning_experiment(
@@ -274,21 +304,28 @@ def cloning_experiment(
 ) -> dict:
     """Key- and message-averaged success of a cloning attack.
 
-    Exact mode enumerates all 4^lam keys and 2^lam messages (lam <= 4);
-    Monte Carlo samples them but evaluates each instance exactly, so the
-    reported standard error covers all the randomness there is.
+    Exact mode enumerates all 4^lam keys and 2^lam messages (lam <= 4).
+    It walks theta, then r, then m: the ciphertext depends on (r, m) only
+    through m XOR r, so each theta's 2^lam distinct ciphertexts are split
+    once and held while its keys are scored, and the decoder POVMs are
+    built once per key.  Monte Carlo samples keys and messages but
+    evaluates each instance exactly, so the reported standard error covers
+    all the randomness there is.
     """
     if mode == "exact":
         if lam > 4:
             raise ValueError("exhaustive cloning experiment capped at lam = 4")
+        strings = list(_all_bitstrings(lam))
         total = 0.0
-        count = 0
-        for r in _all_bitstrings(lam):
-            for theta in _all_bitstrings(lam):
+        for theta in strings:
+            splits = [attack.split(ConjCiphertext(x, theta).to_density()) for x in strings]
+            for r_index, r in enumerate(strings):
                 key = ConjKey(r, theta)
-                for m in _all_bitstrings(lam):
-                    total += _attack_success_given(attack, key, m)
-                    count += 1
+                povm_b = attack.decoder_povm_b(key)
+                povm_c = attack.decoder_povm_c(key)
+                for m_index, m in enumerate(strings):
+                    total += _joint_success(povm_b[m], povm_c[m], splits[m_index ^ r_index])
+        count = len(strings) ** 3
         return {"success": total / count, "stderr": None, "mode": "exact", "instances": count}
     if mode == "mc":
         if rng is None:
@@ -336,9 +373,7 @@ def cloning_experiment_classical_client(
         for s in states[1:]:
             joint = qcore.tensor_product(joint, s)
         rho_bc = attack.split(joint.to_density())
-        e_b = attack.decoder_povm_b(key)[m]
-        e_c = attack.decoder_povm_c(key)[m]
-        values.append(float(np.trace(np.kron(e_b, e_c) @ rho_bc.entries).real))
+        values.append(_joint_success(attack.decoder_povm_b(key)[m], attack.decoder_povm_c(key)[m], rho_bc))
     arr = np.array(values)
     return {
         "success": float(arr.mean()),
@@ -354,7 +389,7 @@ def cloning_experiment_classical_client(
 
 @dataclass(frozen=True)
 class WkdCiphertext:
-    quantum: qcore.DensityMatrix  # 2*lam qubits
+    quantum: ConjCiphertext  # 2*lam qubits, product form
     r: tuple[int, ...]  # lam-bit prefix tag, in the clear
     perm: gf2.PermKey  # key-space permutation, in the clear
 
@@ -386,8 +421,7 @@ def wkd_enc(k: Sequence[int], m: Sequence[int], rng: np.random.Generator) -> Wkd
     r = tuple(int(b) for b in rng.integers(0, 2, size=lam))
     perm = gf2.pip_sample(4 * lam, rng)
     inner = _inner_key(gf2.pip_eval(perm, k))
-    quantum = cc_enc(inner, r + m).to_density()
-    return WkdCiphertext(quantum=quantum, r=r, perm=perm)
+    return WkdCiphertext(quantum=cc_enc_product(inner, r + m), r=r, perm=perm)
 
 
 def wkd_dec(

@@ -10,7 +10,9 @@ PREIMAGES, EQUATIONS, QUESTION, ANSWERS, VERDICT, FINAL.  The transport
 additionally uses ACK replies to VERDICT/FINAL so that every message on
 the socket has exactly one response; ACKs never appear in transcripts.
 A prover that cannot handle a message answers ERROR (with a reason) and
-closes the connection; the verifier then aborts the session.
+closes the connection; the verifier then aborts the session.  A peer that
+sends nothing for SOCKET_TIMEOUT_S seconds is treated as gone: the read
+raises ConnectionError, as it does for a closed connection.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .qcore import bits_to_index, index_to_bits
 # smaller (a KEYS message carries about 100 bytes per copy); the limit
 # keeps a corrupt or hostile length prefix from allocating gigabytes.
 MAX_FRAME_BYTES = 1 << 24
+
+# Longest wait for a peer's next frame, on both ends of a session.  An
+# honest peer answers within milliseconds even at the key-width limit.
+SOCKET_TIMEOUT_S = 30.0
 
 
 def int_to_hex(value: int, width: int) -> str:
@@ -74,7 +80,10 @@ def _recv_exact(conn: socket.socket, n: int) -> bytearray:
     view = memoryview(buf)
     got = 0
     while got < n:
-        received = conn.recv_into(view[got:])
+        try:
+            received = conn.recv_into(view[got:])
+        except TimeoutError as exc:
+            raise ConnectionError(f"peer sent nothing for {conn.gettimeout()} s") from exc
         if not received:
             raise ConnectionError("connection closed mid-message")
         got += received
@@ -119,7 +128,7 @@ class SocketProverClient:
 
     @classmethod
     def connect(cls, host: str, port: int) -> "SocketProverClient":
-        conn = socket.create_connection((host, port))
+        conn = socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S)
         return cls(conn)
 
 
@@ -160,5 +169,6 @@ def serve_prover(host: str, port: int, prover_factory, sessions: int = 1, ready_
             ready_event.set()
         for _ in range(sessions):
             conn, _ = server.accept()
+            conn.settimeout(SOCKET_TIMEOUT_S)
             with conn:
                 serve_prover_connection(conn, prover_factory())

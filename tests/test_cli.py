@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from parrsp import cli
+from parrsp import cli, wire
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +280,29 @@ class TestTwoProcessMode:
 
 
 class TestSocketMode:
+    def test_silent_prover_exits_1(self, capsys, monkeypatch):
+        import socket as socketmod
+        import time
+
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 0.2)
+        with socketmod.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            accepted = []
+            acceptor = threading.Thread(target=lambda: accepted.append(listener.accept()[0]))
+            acceptor.start()
+            start = time.monotonic()
+            code, _, err = run_cli(
+                capsys, "rsp", "run", "--n", "2", "--m", "2", "--seed", "7",
+                "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+            )
+            elapsed = time.monotonic() - start
+            acceptor.join(timeout=10)
+            for conn in accepted:
+                conn.close()
+        assert code == 1 and elapsed < 5
+        assert "sent nothing" in err
+
     def test_run_against_served_prover(self, capsys, tmp_path):
         import socket as socketmod
 

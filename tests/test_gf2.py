@@ -252,3 +252,39 @@ def test_distributivity_random_wide(width, seed):
     left = gf2.gf_mul(a, gf2.gf_add(b, c))
     right = gf2.gf_add(gf2.gf_mul(a, b), gf2.gf_mul(a, c))
     assert left.bits == right.bits
+
+
+def _square_and_multiply_inverse(x: gf2.FieldElement) -> int:
+    """Reference inverse x^(2^w - 2) by square-and-multiply over gf_mul."""
+    result = gf2.FieldElement(1, x.width)
+    base = x
+    exponent = (1 << x.width) - 2
+    while exponent:
+        if exponent & 1:
+            result = gf2.gf_mul(result, base)
+        base = gf2.gf_mul(base, base)
+        exponent >>= 1
+    return result.bits
+
+
+class TestEuclideanInverse:
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_matches_square_and_multiply_exhaustive(self, width):
+        for v in range(1, 1 << width):
+            x = gf2.FieldElement(v, width)
+            assert gf2.gf_inv(x).bits == _square_and_multiply_inverse(x)
+
+    @pytest.mark.parametrize("width", [16, 32, 64])
+    def test_matches_square_and_multiply_sampled(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(200):
+            x = gf2.FieldElement(1 + int.from_bytes(rng.bytes(8), "big") % ((1 << width) - 1), width)
+            assert gf2.gf_inv(x).bits == _square_and_multiply_inverse(x)
+
+    def test_int_permutation_rejects_out_of_range(self):
+        key = gf2.PermKey(gf2.FieldElement(3, 4), gf2.FieldElement(5, 4))
+        for bad in (-1, 16):
+            with pytest.raises(ValueError, match="fit"):
+                gf2.pip_eval_int(key, bad)
+            with pytest.raises(ValueError, match="fit"):
+                gf2.pip_invert_int(key, bad)

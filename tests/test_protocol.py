@@ -619,3 +619,97 @@ class TestProverServerErrors:
         assert not thread.is_alive()
         local = protocol.run_multi_round(cfg, provers.HonestProver(seed=5))
         assert remote.transcript.to_bytes() == local.transcript.to_bytes()
+
+
+def _keys_msg(round_value):
+    key = entcf.gen(entcf.CLAW_FREE, 4, np.random.default_rng(0)).key
+    return {"type": "KEYS", "session": "s", "round": round_value, "keys": [entcf.key_to_wire(key)]}
+
+
+HADAMARD_ROUND = {"type": "ROUND_TYPE", "round": 0, "round_type": "hadamard"}
+
+# valid messages leading up to one bad one
+BAD_PROVER_INPUTS = {
+    "round-float": [_keys_msg(2.9)],
+    "round-bool": [_keys_msg(True)],
+    "round-string": [_keys_msg("0")],
+    "round-type-bogus": [_keys_msg(0), {"type": "ROUND_TYPE", "round": 0, "round_type": "bogus"}],
+    "q-float": [_keys_msg(0), HADAMARD_ROUND, {"type": "QUESTION", "round": 0, "q": 1.0}],
+    "q-bool": [_keys_msg(0), HADAMARD_ROUND, {"type": "QUESTION", "round": 0, "q": True}],
+    "q-not-a-bit": [_keys_msg(0), HADAMARD_ROUND, {"type": "QUESTION", "round": 0, "q": 2}],
+}
+
+
+class TestProverStrictParsing:
+    @pytest.mark.parametrize("case", sorted(BAD_PROVER_INPUTS))
+    def test_in_process_handler_raises(self, case):
+        *valid, bad = BAD_PROVER_INPUTS[case]
+        prover = provers.HonestProver(0)
+        for msg in valid:
+            assert prover.handle(msg) is not None
+        with pytest.raises(ValueError):
+            prover.handle(bad)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PROVER_INPUTS))
+    def test_server_answers_error(self, case):
+        *valid, bad = BAD_PROVER_INPUTS[case]
+        server, client = socket.socketpair()
+        with server, client:
+            client.settimeout(10)
+            thread = threading.Thread(
+                target=wire.serve_prover_connection, args=(server, provers.HonestProver(0))
+            )
+            thread.start()
+            for msg in valid:
+                wire.send_message(client, msg)
+                assert wire.recv_message(client)["type"] != "ERROR"
+            wire.send_message(client, bad)
+            reply = wire.recv_message(client)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert reply["type"] == "ERROR" and "ValueError" in reply["reason"]
+
+    def test_integer_round_is_echoed(self):
+        reply = provers.HonestProver(0).handle(_keys_msg(2))
+        assert reply["type"] == "IMAGES" and reply["round"] == 2
+
+
+class TestSocketTimeouts:
+    def test_silent_verifier_ends_the_session(self, monkeypatch):
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 0.2)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=wire.serve_prover,
+            args=("127.0.0.1", port, lambda: provers.HonestProver(seed=5)),
+            kwargs={"sessions": 2, "ready_event": ready},
+            daemon=True,  # a server stuck on the silent session must not hang the run
+        )
+        thread.start()
+        assert ready.wait(timeout=10)
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as silent:
+            # the server gives up on this session and closes it without an ERROR
+            assert silent.recv(1) == b""
+        cfg = config(n=2, m=3, seed=42)
+        client = wire.SocketProverClient.connect("127.0.0.1", port)
+        client.conn.settimeout(10)
+        remote = protocol.run_multi_round(cfg, client)
+        client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        local = protocol.run_multi_round(cfg, provers.HonestProver(seed=5))
+        assert remote.transcript.to_bytes() == local.transcript.to_bytes()
+
+    def test_silent_prover_raises_connection_error(self, monkeypatch):
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 0.2)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            client = wire.SocketProverClient.connect("127.0.0.1", listener.getsockname()[1])
+            conn, _ = listener.accept()
+            with conn, pytest.raises(ConnectionError, match="sent nothing"):
+                protocol.run_multi_round(config(), client)
+            client.close()

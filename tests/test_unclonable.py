@@ -343,3 +343,144 @@ class TestHybrid:
         expected = uc.wkd_wrong_key_acceptance_formula(lam)
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(p - expected) < 5 * sigma
+
+
+class _RecordingRng:
+    """Stands in for a Generator: keeps the law a decode draws from."""
+
+    def __init__(self):
+        self.p = None
+
+    def choice(self, n, p):
+        assert self.p is None and len(p) == n
+        self.p = np.asarray(p)
+        return 0
+
+
+def _product_decode_law(key, ct):
+    rng = _RecordingRng()
+    plain = uc.cc_dec(key, ct, rng)
+    if rng.p is None:
+        return {plain: 1.0}
+    law = {}
+    for index, p in enumerate(rng.p):
+        bits = qcore.index_to_bits(index, key.bits)
+        plain = tuple(b ^ r for b, r in zip(bits, key.r))
+        law[plain] = law.get(plain, 0.0) + float(p)
+    return law
+
+
+def _dense_decode_law(key, ct):
+    # conjugate the whole density matrix by the key's Hadamard layer
+    layer = np.array([[1.0]])
+    for t in key.theta:
+        layer = np.kron(layer, qcore.hadamard().entries if t else np.eye(2))
+    rotated = layer @ ct.to_density().entries @ layer.conj().T
+    law = {}
+    for index, p in enumerate(np.real(np.diag(rotated))):
+        bits = qcore.index_to_bits(index, key.bits)
+        plain = tuple(b ^ r for b, r in zip(bits, key.r))
+        law[plain] = law.get(plain, 0.0) + float(p)
+    return law
+
+
+def _laws_agree(a, b):
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) < 1e-12 for k in set(a) | set(b))
+
+
+def _dense_wkd_mc(lam, trials, rng):
+    """wkd_wrong_key_acceptance_mc with the ciphertext decoded as a dense
+    state vector: rotate by the wrong key's bases, one Born draw unless the
+    outcome is certain."""
+    hits = 0
+    for _ in range(trials):
+        k = uc.wkd_keygen(lam, rng)
+        while True:
+            k_wrong = uc.wkd_keygen(lam, rng)
+            if k_wrong != k:
+                break
+        m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
+        ct = uc.wkd_enc(k, m, rng)
+        inner = uc._inner_key(gf2.pip_eval(ct.perm, k_wrong))
+        probs = qcore.hadamard_layer(ct.quantum.to_state(), inner.theta).probabilities()
+        support = np.flatnonzero(probs > 1e-12)
+        if support.shape[0] == 1:
+            index = int(support[0])
+        else:
+            index = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
+        plain = tuple(b ^ r for b, r in zip(qcore.index_to_bits(index, 2 * lam), inner.r))
+        hits += plain[:lam] == ct.r
+    return hits
+
+
+class TestProductForm:
+    def test_to_density_equals_dense_encryption(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            key = uc.cc_keygen(3, rng)
+            m = tuple(int(b) for b in rng.integers(0, 2, size=3))
+            ct = uc.cc_enc_product(key, m)
+            assert ct.bases == key.theta
+            assert np.allclose(ct.to_density().entries, uc.cc_enc(key, m).to_density().entries, atol=1e-15)
+
+    def test_decode_law_matches_dense_exhaustive_lam1(self):
+        inner_keys = [uc.ConjKey(r, t) for r in _bitstrings(2) for t in _bitstrings(2)]
+        for key in inner_keys:
+            for m in _bitstrings(2):
+                ct = uc.cc_enc_product(key, m)
+                for wrong in inner_keys:
+                    assert _laws_agree(_product_decode_law(wrong, ct), _dense_decode_law(wrong, ct))
+
+    def test_decode_law_matches_dense_sampled_lam2(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            key, wrong = uc.cc_keygen(4, rng), uc.cc_keygen(4, rng)
+            ct = uc.cc_enc_product(key, tuple(int(b) for b in rng.integers(0, 2, size=4)))
+            assert _laws_agree(_product_decode_law(wrong, ct), _dense_decode_law(wrong, ct))
+
+    def test_wrong_key_mc_matches_dense_reference_stream(self):
+        rng_product, rng_dense = np.random.default_rng(12), np.random.default_rng(12)
+        res = uc.wkd_wrong_key_acceptance_mc(4, 2000, rng_product)
+        hits = _dense_wkd_mc(4, 2000, rng_dense)
+        assert round(res["acceptance"] * 2000) == hits
+        assert rng_product.bit_generator.state == rng_dense.bit_generator.state
+
+    def test_mismatched_ciphertext_length_rejected(self):
+        ct = uc.ConjCiphertext((0, 1), (1, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            uc.cc_dec(uc.ConjKey((0,), (1,)), ct)
+        with pytest.raises(ValueError, match="equal length"):
+            uc.ConjCiphertext((0, 1), (1,))
+
+    @pytest.mark.parametrize("lam", [1, 2])
+    @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
+    def test_exact_loop_equals_instance_sum(self, lam, make_attack):
+        attack = make_attack(lam)
+        total = sum(
+            uc._attack_success_given(attack, uc.ConjKey(r, theta), m)
+            for r in _bitstrings(lam)
+            for theta in _bitstrings(lam)
+            for m in _bitstrings(lam)
+        )
+        res = uc.cloning_experiment(attack, lam, mode="exact")
+        assert res["instances"] == 8**lam
+        assert abs(res["success"] - total / 8**lam) < 1e-12
+
+    def test_breidbart_split_matches_projector_oracle(self):
+        # arbitrary dense states, not just honest ciphertexts
+        lam = 2
+        attack = uc.breidbart_attack(lam)
+        cos, sin = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        single = [np.outer(b, b) for b in (np.array([cos, sin]), np.array([-sin, cos]))]
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T
+            state = qcore.DensityMatrix(rho / np.trace(rho).real)
+            expected = np.zeros((16, 16), dtype=complex)
+            for w in _bitstrings(lam):
+                proj = np.kron(single[w[0]], single[w[1]])
+                marker = np.zeros((4, 4))
+                marker[qcore.bits_to_index(w), qcore.bits_to_index(w)] = 1.0
+                expected += np.trace(proj @ state.entries).real * np.kron(marker, marker)
+            assert np.abs(attack.split(state).entries - expected).max() < 1e-12
