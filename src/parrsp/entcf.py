@@ -10,11 +10,13 @@ keyed permutation pi on (w+1)-bit strings:
   (x, x XOR delta).
 
 pi is an 8-round Feistel network over w+1 bits (odd totals use an
-unbalanced split with the left half one bit larger) whose round tables are
-derived from a 128-bit per-key seed with a keyed hash.  Determinism and
-invertibility are the only contracts pi has to satisfy.  Evaluation and
-inversion run straight from the round tables (~2^((w+1)/2) entries per
-key); only :func:`preimage_table` enumerates the 2^(w+1) domain.
+unbalanced split with the left half one bit larger) whose round functions
+are read from keyed blake2b streams of a 128-bit per-key seed.  Determinism
+and invertibility are the only contracts pi has to satisfy.  No per-key
+table exists: an evaluation reads each round's entry from the one 64-byte
+digest that holds it, computed on demand and memoized in a small bounded
+cache, so a key costs what its evaluations touch (8 digests per point).
+Only :func:`preimage_table` enumerates the 2^(w+1) domain.
 
 SECURITY WARNING: nothing here is cryptographically hard.  The public key
 contains the permutation seed (and the claw offset), so anyone holding a
@@ -31,9 +33,7 @@ dependence on the image point.
 
 from __future__ import annotations
 
-import array
 import hashlib
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,10 +45,6 @@ MAX_KEY_WIDTH = 16
 
 INJECTIVE = 0
 CLAW_FREE = 1
-
-# struct code of one big-endian round-table entry by its byte count; a
-# table entry holds at most ceil((MAX_KEY_WIDTH + 2) / 2) = 9 bits
-_ENTRY_FORMAT = {1: "B", 2: "H"}
 
 
 class DecodeError(ValueError):
@@ -109,49 +105,45 @@ class EntcfKeyPair:
 
 
 @lru_cache(maxsize=512)
-def _round_tables(seed: bytes, total_bits: int) -> tuple[tuple[array.array, ...], int, int]:
-    """Per-round lookup tables for the Feistel round functions.
+def _digest(seed: bytes, rnd: int, counter: int) -> bytes:
+    """Digest `counter` of round `rnd`'s keyed stream.
 
-    Round r maps the r-parity half through table[r]; each table is expanded
-    from a keyed blake2b stream so one key costs a handful of hash calls.
-    Entry i is bytes [i*k, (i+1)*k) of the stream read big-endian (k bytes
-    per entry) and masked to the destination half.  A round decodes its
-    whole stream in one `struct.unpack_from` and keeps the entries in an
-    unsigned-short array: it holds no Python objects, so the cached tables
-    give the garbage collector nothing to traverse (tuples of ints cost a
-    pause of ~10 ms every few hundred width-16 sessions).
+    The cache is small on purpose: it only has to hold the digests one
+    protocol round touches (the prover's commit, then the verifier's decode
+    and check of the same points).  A large cache outlives the young
+    generations and the garbage collector's full passes walk it: at 8192
+    entries those pauses made the tail latency of width-16 sessions five
+    times what it is at 512.
     """
-    left_bits = (total_bits + 1) // 2
-    right_bits = total_bits - left_bits
-    tables = []
-    for rnd in range(FEISTEL_ROUNDS):
-        src_bits = right_bits if rnd % 2 == 0 else left_bits
-        dst_bits = left_bits if rnd % 2 == 0 else right_bits
-        n_entries = 1 << src_bits
-        entry_bytes = (dst_bits + 7) // 8
-        stream = b"".join(
-            hashlib.blake2b(
-                rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64
-            ).digest()
-            for counter in range(-(-n_entries * entry_bytes // 64))
-        )
-        entries = struct.unpack_from(f">{n_entries}{_ENTRY_FORMAT[entry_bytes]}", stream)
-        if dst_bits < 8 * entry_bytes:
-            entries = (value & ((1 << dst_bits) - 1) for value in entries)
-        tables.append(array.array("H", entries))
-    return tuple(tables), left_bits, right_bits
+    return hashlib.blake2b(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64).digest()
 
 
 def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) -> int:
-    tables, left_bits, right_bits = _round_tables(seed, total_bits)
+    """pi (or pi^-1) of `value`; round r XORs entry i of its stream into one half.
+
+    Entry i of a round whose destination half has d bits is bytes
+    [i*k, (i+1)*k) of the stream read big-endian (k = ceil(d / 8) bytes)
+    and masked to d bits.  As 64 is a multiple of k, the entry lies whole
+    in digest (i*k) // 64 at offset (i*k) % 64.
+    """
+    left_bits = (total_bits + 1) // 2
+    right_bits = total_bits - left_bits
+    left_size, right_size = (left_bits + 7) // 8, (right_bits + 7) // 8
+    left_mask, right_mask = (1 << left_bits) - 1, (1 << right_bits) - 1
     left = value >> right_bits
-    right = value & ((1 << right_bits) - 1)
+    right = value & right_mask
     order = range(FEISTEL_ROUNDS - 1, -1, -1) if inverse else range(FEISTEL_ROUNDS)
     for rnd in order:
         if rnd % 2 == 0:
-            left ^= tables[rnd][right]
+            pos = right * left_size
+            offset = pos & 63
+            digest = _digest(seed, rnd, pos >> 6)
+            left ^= int.from_bytes(digest[offset : offset + left_size], "big") & left_mask
         else:
-            right ^= tables[rnd][left]
+            pos = left * right_size
+            offset = pos & 63
+            digest = _digest(seed, rnd, pos >> 6)
+            right ^= int.from_bytes(digest[offset : offset + right_size], "big") & right_mask
     return (left << right_bits) | right
 
 

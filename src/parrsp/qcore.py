@@ -247,15 +247,15 @@ def _apply_matrix_to_density(matrix: np.ndarray, rho: np.ndarray, targets: tuple
     """O rho O^dagger on the target qubits without embedding O densely."""
     k = len(targets)
     dim = 2**q
-    tensor = rho.reshape([2] * (2 * q))
-    tensor = np.moveaxis(tensor, targets, range(k))
-    tensor = (matrix @ tensor.reshape(2**k, -1)).reshape([2] * (2 * q))
-    tensor = np.moveaxis(tensor, range(k), targets)
+    # each reshape below copies; binding every copy to `tensor` before the
+    # next product frees the previous temporary, so at most three
+    # density-sized arrays (rho included) are alive at once
+    tensor = np.moveaxis(rho.reshape([2] * (2 * q)), targets, range(k)).reshape(2**k, -1)
+    tensor = np.moveaxis((matrix @ tensor).reshape([2] * (2 * q)), range(k), targets)
     col_targets = tuple(q + t for t in targets)
-    tensor = np.moveaxis(tensor, col_targets, range(k))
-    tensor = (matrix.conj() @ tensor.reshape(2**k, -1)).reshape([2] * (2 * q))
-    tensor = np.moveaxis(tensor, range(k), col_targets)
-    return tensor.reshape(dim, dim)
+    tensor = np.moveaxis(tensor, col_targets, range(k)).reshape(2**k, -1)
+    tensor = (matrix.conj() @ tensor).reshape([2] * (2 * q))
+    return np.moveaxis(tensor, range(k), col_targets).reshape(dim, dim)
 
 
 def apply_operator(op: LinearOperator, state, targets: Sequence[int]):
@@ -279,14 +279,6 @@ def hadamard_layer(state, mask: Sequence[int]):
         raise ValueError(f"mask length {len(mask)} does not match {state.qubit_count} qubits")
     if any(bit not in (0, 1) for bit in mask):
         raise ValueError("mask entries must be bits")
-    if isinstance(state, DensityMatrix):
-        # one dense conjugation beats a per-qubit pass at density sizes
-        if not any(mask):
-            return state
-        full = _H if mask[0] else _I2
-        for bit in mask[1:]:
-            full = np.kron(full, _H if bit else _I2)
-        return DensityMatrix._unchecked(full @ state.entries @ full, state.weight)
     out = state
     h = hadamard()
     for i, bit in enumerate(mask):

@@ -39,6 +39,9 @@ from . import gf2, qcore
 from .protocol import MultiRoundConfig, run_multi_round
 
 MAX_CC_BITS = 12  # simulation bound on conjugate-coding message length
+# largest lambda whose dense 2^(2 lambda)-square split output an attack can
+# hold: lambda = 6 runs in 0.9 GB, lambda = 7 would need 4.3 GB for it alone
+MAX_ATTACK_BITS = 6
 
 _COS = np.cos(np.pi / 8)
 _SIN = np.sin(np.pi / 8)
@@ -192,6 +195,14 @@ class CloningAttack:
     b_qubits: int
     c_qubits: int
 
+    def __init__(self, lam: int):
+        # checked before any subclass allocates its 2^lam-sized matrices
+        if not 1 <= lam <= MAX_ATTACK_BITS:
+            raise ValueError(f"cloning attacks need 1 <= lambda <= {MAX_ATTACK_BITS}, got {lam}")
+        self.lam = lam
+        self.b_qubits = lam
+        self.c_qubits = lam
+
     def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
         raise NotImplementedError
 
@@ -218,11 +229,6 @@ def _all_bitstrings(lam: int):
 class ForwardAttack(CloningAttack):
     """Hands the ciphertext to the first decoder; the second guesses blind."""
 
-    def __init__(self, lam: int):
-        self.lam = lam
-        self.b_qubits = lam
-        self.c_qubits = lam
-
     def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
         blank = qcore.StateVector.basis_state([0] * self.lam).to_density()
         return qcore.tensor_product(ciphertext, blank)
@@ -244,9 +250,7 @@ class BreidbartAttack(CloningAttack):
     broadcasts the classical outcome to both decoders."""
 
     def __init__(self, lam: int):
-        self.lam = lam
-        self.b_qubits = lam
-        self.c_qubits = lam
+        super().__init__(lam)
         # row w is <beta_w|, the intermediate-basis bra of outcome w (real)
         single = np.array([[_COS, _SIN], [-_SIN, _COS]])
         bras = single

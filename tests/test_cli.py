@@ -196,6 +196,40 @@ class TestUnclonableDemo:
         assert payload["stderr"] is not None
 
 
+class TestOutOfRangeSizes:
+    @pytest.mark.parametrize("lam", ["7", "13", "99"])
+    def test_cloning_demo_exits_1_before_allocating(self, lam):
+        """A fresh interpreter runs the command and reports its own peak RSS."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        import parrsp
+
+        child_code = (
+            "import resource, sys\n"
+            "from parrsp import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('peak_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(parrsp.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        start = time.monotonic()
+        child = subprocess.run(
+            [sys.executable, "-c", child_code, "unclonable", "demo", "--lambda", lam],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert "lambda" in child.stderr
+        peak_kb = int(child.stderr.split("peak_kb")[1].split()[0])  # ru_maxrss is in KiB on Linux
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+
 class TestCpCommands:
     def test_protect_eval_roundtrip(self, capsys, tmp_path):
         prog = tmp_path / "prog.json"

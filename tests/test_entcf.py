@@ -230,11 +230,37 @@ def _round_tables_per_entry(seed, total_bits):
     return tuple(tables), left_bits, right_bits
 
 
+def _feistel_reference(round_tables, value, inverse):
+    """The Feistel network evaluated from whole per-entry round tables."""
+    tables, left_bits, right_bits = round_tables
+    left = value >> right_bits
+    right = value & ((1 << right_bits) - 1)
+    order = range(entcf.FEISTEL_ROUNDS - 1, -1, -1) if inverse else range(entcf.FEISTEL_ROUNDS)
+    for rnd in order:
+        if rnd % 2 == 0:
+            left ^= tables[rnd][right]
+        else:
+            right ^= tables[rnd][left]
+    return (left << right_bits) | right
+
+
 @pytest.mark.parametrize("width", [2, 3, 4, 15, 16])
-def test_round_tables_match_per_entry_decoding(width):
+def test_feistel_matches_per_entry_tables(width):
+    """On-demand digest reads give the table-driven permutation, both ways.
+
+    Every point at widths 2-4; 500 random points at widths 15 and 16.
+    """
     rng = np.random.default_rng(width)
-    for _ in range(5):
+    total_bits = width + 1
+    for _ in range(3 if width <= 4 else 1):
         seed = rng.bytes(16)
-        tables, left_bits, right_bits = entcf._round_tables(seed, width + 1)
-        decoded = tuple(tuple(table) for table in tables)
-        assert (decoded, left_bits, right_bits) == _round_tables_per_entry(seed, width + 1)
+        round_tables = _round_tables_per_entry(seed, total_bits)
+        if width <= 4:
+            points = range(1 << total_bits)
+        else:
+            points = [int(v) for v in rng.integers(0, 1 << total_bits, size=500)]
+        for value in points:
+            for inverse in (False, True):
+                assert entcf._feistel(seed, total_bits, value, inverse) == _feistel_reference(
+                    round_tables, value, inverse
+                )

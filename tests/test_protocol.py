@@ -1,5 +1,6 @@
 """Protocol rounds, prover strategies, transcripts, and transports."""
 
+import hashlib
 import json
 import socket
 import threading
@@ -9,6 +10,9 @@ import pytest
 
 from parrsp import entcf, protocol, provers, qcore, transcript, wire
 from parrsp.seeds import derive_seed
+
+
+PINNED_TRANSCRIPT_SHA256 = "fe26d081e6b761e9befc2c36b1c00bacb9fa780b80c0f1683b5b3c4d2eec716d"
 
 
 def config(n=2, m=2, delta=0.05, width=4, seed=0, **kw):
@@ -332,6 +336,25 @@ class TestDeterminismAndTransport:
         r1 = protocol.run_multi_round(config(n=2, m=3, seed=11), provers.HonestProver(seed=7))
         r2 = protocol.run_multi_round(config(n=2, m=3, seed=12), provers.HonestProver(seed=7))
         assert r1.transcript.to_bytes() != r2.transcript.to_bytes()
+
+    def test_seeded_transcripts_pinned(self):
+        """One SHA-256 over seeded sessions of every prover strategy.
+
+        It pins the keyed permutation, the provers' and the verifier's RNG
+        streams and the wire format: a silent change to any of them fails.
+        """
+        digest = hashlib.sha256()
+        for name in provers.PROVER_NAMES:
+            for width in (2, 4, 16):
+                for seed in range(4):
+                    prover_seed = derive_seed(seed, "prover")
+                    prover = (
+                        provers.HonestProver(prover_seed) if name == "honest"
+                        else provers.cheating_prover(name, prover_seed)
+                    )
+                    result = protocol.run_multi_round(config(n=2, m=3, width=width, seed=seed), prover)
+                    digest.update(result.transcript.to_bytes())
+        assert digest.hexdigest() == PINNED_TRANSCRIPT_SHA256
 
     def test_socket_equals_in_process(self):
         cfg = config(n=2, m=3, seed=42)

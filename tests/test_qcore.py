@@ -159,6 +159,23 @@ class TestHadamardLayer:
         with pytest.raises(ValueError, match="mask length"):
             qcore.hadamard_layer(ket(0, 0), (1,))
 
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
+    def test_density_matches_kron_oracle(self, qubits):
+        rng = np.random.default_rng(qubits)
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        dim = 2**qubits
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = qcore.DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        masks = {(0,) * qubits, (1,) * qubits}
+        masks.update(tuple(int(b) for b in rng.integers(0, 2, size=qubits)) for _ in range(4))
+        for mask in masks:
+            layer = np.ones((1, 1), dtype=complex)
+            for bit in mask:
+                layer = np.kron(layer, h if bit else np.eye(2))
+            out = qcore.hadamard_layer(rho, mask)
+            assert isinstance(out, qcore.DensityMatrix)
+            assert np.abs(out.entries - layer @ rho.entries @ layer).max() < 1e-12
+
 
 class TestPauliString:
     def test_identity(self):

@@ -113,6 +113,12 @@ class TestClassicalClient:
 
 
 class TestAttacks:
+    @pytest.mark.parametrize("make", [uc.breidbart_attack, uc.forward_attack])
+    @pytest.mark.parametrize("lam", [0, -1, uc.MAX_ATTACK_BITS + 1, 99])
+    def test_size_checked_before_allocation(self, make, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            make(lam)
+
     def test_split_preserves_trace(self):
         rng = np.random.default_rng(4)
         for attack in (uc.breidbart_attack(2), uc.forward_attack(2)):
