@@ -311,6 +311,8 @@ def piracy_experiment(
     """Success rate of a pirate over fresh protect runs and challenges."""
     from .provers import HonestProver
 
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if prover_factory is None:
         prover_factory = HonestProver
     wins = 0

