@@ -100,11 +100,7 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
     r = tuple(a ^ b for a, b in zip(v0, s0))
     u = tuple(a ^ b for a, b in zip(v1, s1))
     t = tuple(a ^ b for a, b in zip(u, f.m))
-    states = result.prover_final_state
-    sigma = states[0]
-    for st in states[1:]:
-        sigma = qcore.tensor_product(sigma, st)
-    return ProtectedProgram(sigma=sigma, r=r, perm=perm, t=t), result
+    return ProtectedProgram(sigma=result.prover_final_state.to_state(), r=r, perm=perm, t=t), result
 
 
 def _prefix_compare_operator(lam: int, pattern: Sequence[int]) -> qcore.LinearOperator:
@@ -166,9 +162,7 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
     w, state = qcore.measure_computational(state, range(2 * lam), rng)
     w1 = w[lam:]
     out = tuple(a ^ b ^ c for a, b, c in zip(w1, s_x[lam:], prog.t))
-    collapsed = qcore.StateVector.basis_state(w)
-    program_state = qcore.hadamard_layer(collapsed, theta_x)
-    return out, replace(prog, sigma=program_state), True
+    return out, replace(prog, sigma=qcore.BB84Product(w, theta_x).to_state()), True
 
 
 # -- piracy experiment -------------------------------------------------------

@@ -138,8 +138,8 @@ def qced_setup(
 def qced_stateprep(keys: QcedKeys, prover):
     """Run the preparation protocol and bind its outputs as sk_comp.
 
-    Returns (keys with sk_comp, receiver state list) or (None, None) on
-    abort.  Circuits without T gates skip the protocol entirely.
+    Returns (keys with sk_comp, receiver register as a ``qcore.BB84Product``)
+    or (None, None) on abort.  Circuits without T gates skip the protocol entirely.
     """
     if keys.rsp_config is None:
         return replace(keys, sk_comp=((), ())), []

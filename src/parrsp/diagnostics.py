@@ -52,8 +52,6 @@ from . import entcf, qcore
 MAX_DIAG_COPIES = 5
 MAX_DIAG_WIDTH = 4
 
-_H = qcore.hadamard().entries
-
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1
@@ -68,12 +66,6 @@ def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def _bb84_ket(theta_vec: Sequence[int], v_vec: Sequence[int]) -> np.ndarray:
-    """(x)_i H^theta_i |v_i> as a vector."""
-    eye = np.eye(2, dtype=complex)
-    return _kron_all([(_H if theta else eye)[:, v] for theta, v in zip(theta_vec, v_vec)])
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ class Device:
                 weights.append(per_bit)
             classes = {}
             for v_vec in itertools.product((0, 1), repeat=self.n):
-                ket = _bb84_ket(theta_vec, v_vec)
+                ket = qcore.BB84Product(v_vec, theta_vec).to_state().amplitudes
                 block = float(np.prod([w[v] for w, v in zip(weights, v_vec)])) * np.outer(ket, ket.conj())
                 block.setflags(write=False)
                 classes[v_vec] = block
@@ -228,7 +220,7 @@ class Device:
     def question_projector(self, q: int, v_vec: Sequence[int]) -> BlockObservable:
         """P_q^{(v)}: the honest BB84 projector, or 1 where the forced answer is v."""
         v_index = qcore.bits_to_index(v_vec)
-        ket = _bb84_ket((q,) * self.n, v_vec)
+        ket = qcore.BB84Product(v_vec, (q,) * self.n).to_state().amplitudes
         forced = np.array([float(answer == v_index) for answer in self.anc_answers])
         return BlockObservable(np.outer(ket, ket.conj()), forced)
 
@@ -305,7 +297,7 @@ def _copy_preimage_pass(device: Device, mode: int, copy: int) -> float:
     kp = device.keypairs[mode][copy]
     total = 0.0
     for y, weight, bit in device.copy_y_list(mode, copy):
-        qubit = _bb84_ket((mode,), (bit,))
+        qubit = qcore.BB84Product((bit,), (mode,)).to_state().amplitudes
         for b in (0, 1):
             x = entcf.decode_x(kp.trapdoor, y, b)
             if x is not None and entcf.chk(kp.key, y, b, x):
@@ -380,13 +372,19 @@ def pauli_relation_value(device: Device, a: Sequence[int], b: Sequence[int]) -> 
 
 
 def pauli_relation_grid(device: Device) -> dict:
-    """All 4^n relation values plus the worst deviation from (-1)^(a.b)."""
+    """All 4^n relation values plus the worst deviation from (-1)^(a.b).
+
+    Each is :func:`pauli_relation_value`, with its operators and blocks built once per grid."""
     n = device.n
+    strings = list(itertools.product((0, 1), repeat=n))
+    zs = [device.observable_matrix("Z", a) for a in strings]
+    xs = [device.observable_matrix("X", b) for b in strings]
+    total = sum(device.sigma_by_v((1,) * n).values())
     entries = []
     worst = 0.0
-    for a in itertools.product((0, 1), repeat=n):
-        for b in itertools.product((0, 1), repeat=n):
-            value = pauli_relation_value(device, a, b)
+    for a, z in zip(strings, zs):
+        for b, x in zip(strings, xs):
+            value = device.trace(z @ x @ z @ x, total)
             expected = (-1.0) ** _dot(a, b)
             dev_abs = abs(value - expected)
             worst = max(worst, dev_abs)
@@ -518,7 +516,7 @@ def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
     per_v = []
     alphas = {}
     for v_vec, block in device.sigma_by_v(theta_vec).items():
-        bb84_ket = _bb84_ket(theta_vec, v_vec)
+        bb84_ket = qcore.BB84Product(v_vec, theta_vec).to_state().amplitudes
         bb84 = np.outer(bb84_ket, bb84_ket.conj())
         distance = 0.0
         alpha = []

@@ -54,6 +54,8 @@ class MultiRoundConfig:
     ``delta`` is the tolerated failure fraction per block.
     """
 
+    MAX_BLOCK_SIZE = 64  # largest M (4096 test rounds); unannotated, so not a field
+
     n: int
     m_blocks: int
     delta: float
@@ -65,8 +67,8 @@ class MultiRoundConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one parallel copy")
-        if self.m_blocks < 1:
-            raise ValueError("block size must be at least 1")
+        if not 1 <= self.m_blocks <= self.MAX_BLOCK_SIZE:
+            raise ValueError(f"block size must lie in [1, {self.MAX_BLOCK_SIZE}], not {self.m_blocks}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         if not entcf.MIN_KEY_WIDTH <= self.width <= entcf.MAX_KEY_WIDTH:

@@ -16,13 +16,13 @@ uniform superposition over all pairs; the register then holds |b, x>
 (claw-free key).  Preimage challenges measure it by picking one term.
 Equation challenges return a uniform d, the outcome law of Hadamard-
 measuring the preimage part, and keep the single qubit sum (-1)^(d.x) |b>
-over the terms, which is either measured (test round question) or kept as
-the protocol's output state (preparation round).
+over the terms: |b> for one term, H|d . delta> for a claw, up to a global
+sign.  The register of all copies is one ``qcore.BB84Product``; it is
+either measured (test round question, one uniform draw per copy) or kept
+as the protocol's output state (preparation round).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import entcf, qcore
 from .rules import PREIMAGE_ROUND, ROUND_TYPES
@@ -113,34 +113,16 @@ def claw_terms(key: entcf.EntcfKey, b: int, x: int) -> tuple[tuple[int, int], ..
     return ((b, x),)
 
 
-def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> qcore.StateVector:
-    """Committed qubit left after the preimage register is Hadamard-measured as d."""
-    amps = np.zeros(2, dtype=complex)
-    for b, x in terms:
-        amps[b] = (-1) ** (bin(d & x).count("1") & 1) / np.sqrt(len(terms))
-    return qcore.StateVector(amps)
+def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> qcore.BB84Product:
+    """Committed qubit left after the preimage register is Hadamard-measured as d.
 
-
-def _measure_qubit(
-    state: qcore.StateVector, q: int, rng: np.random.Generator
-) -> tuple[int, qcore.StateVector]:
-    """Measure one qubit in the computational (q = 0) or Hadamard (q = 1) basis.
-
-    Returns the outcome and the post-state in the measured frame, with the
-    outcome amplitude's phase.  Draws one uniform from rng and compares it
-    with the outcome-0 probability, the same draw and decision as
-    ``qcore.measure_computational`` after ``qcore.hadamard`` when q = 1.
+    One term leaves |b>; a claw (b, x0), (1 - b, x1) leaves H|d . (x0 XOR x1)>,
+    both up to a global sign.
     """
-    a0, a1 = state.amplitudes
-    if q == 1:
-        # the common 1/sqrt(2) of H cancels in the probabilities and the phase
-        a0, a1 = a0 + a1, a0 - a1
-    p0, p1 = abs(a0) ** 2, abs(a1) ** 2
-    bit = int(rng.random() >= p0 / (p0 + p1))
-    amp = a1 if bit else a0
-    post = np.zeros(2, dtype=complex)
-    post[bit] = amp / abs(amp)
-    return bit, qcore.StateVector(post)
+    if len(terms) == 1:
+        return qcore.BB84Product((terms[0][0],), (0,))
+    (_, x0), (_, x1) = terms
+    return qcore.BB84Product((bin(d & (x0 ^ x1)).count("1") & 1,), (1,))
 
 
 class HonestProver(LocalProver):
@@ -149,10 +131,10 @@ class HonestProver(LocalProver):
     def __init__(self, seed: int = 0):
         super().__init__(seed)
         self._terms: list[tuple[tuple[int, int], ...]] = []
-        self._committed: list[qcore.StateVector] | None = None
+        self._register: qcore.BB84Product | None = None
 
     def commit(self, keys):
-        self._committed = None
+        self._register = None
         self._terms = []
         images = []
         for key in keys:
@@ -166,26 +148,24 @@ class HonestProver(LocalProver):
 
     def equation_answers(self):
         equations = [int(self._rng.integers(0, 2**self._width)) for _ in self._terms]
-        self._committed = [kept_qubit(terms, d) for terms, d in zip(self._terms, equations)]
+        kept = [kept_qubit(terms, d) for terms, d in zip(self._terms, equations)]
+        self._register = qcore.BB84Product(sum((k.bits for k in kept), ()), sum((k.bases for k in kept), ()))
         return equations
 
     def question_answers(self, q):
-        measured = [_measure_qubit(state, q, self._rng) for state in self._committed]
-        self._committed = [post for _, post in measured]
-        return [bit for bit, _ in measured]
+        # one draw per copy, even where the outcome is certain, as the dense
+        # measurement of each qubit makes
+        register = self._register
+        bits = tuple(
+            qcore.BB84Product((bit,), (basis,)).measure((q,), self._rng.random())[0]
+            for bit, basis in zip(register.bits, register.bases)
+        )
+        self._register = qcore.BB84Product(bits, (q,) * len(bits))
+        return list(bits)
 
     def final_states(self):
-        """Committed qubits after a preparation round (one per copy)."""
-        return list(self._committed) if self._committed is not None else None
-
-    def final_joint_state(self) -> qcore.StateVector | None:
-        states = self.final_states()
-        if not states:
-            return None
-        joint = states[0]
-        for s in states[1:]:
-            joint = qcore.tensor_product(joint, s)
-        return joint
+        """The committed qubits after a preparation round, one per copy."""
+        return self._register
 
 
 class RandomAnswerProver(LocalProver):

@@ -1,4 +1,4 @@
-"""Dense quantum linear algebra on small registers.
+"""Dense quantum linear algebra on small registers, plus the BB84 product form.
 
 Conventions used by the whole package:
 
@@ -111,6 +111,65 @@ class StateVector:
 
 
 @dataclass(frozen=True)
+class BB84Product:
+    """Product of BB84 qubits: qubit i is H^bases_i |bits_i>.
+
+    Indexing and iteration yield the single qubits as StateVectors; the
+    dense register is built only by `to_state` and `to_density`.
+    """
+
+    bits: tuple[int, ...]
+    bases: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.bits) != len(self.bases):
+            raise ValueError("bit and basis vectors must have equal length")
+        if any(b not in (0, 1) for b in self.bits + self.bases):
+            raise ValueError("bits and bases must be bit vectors")
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, i):
+        """Qubit i as a StateVector; a slice is again a product, as for a tuple."""
+        if isinstance(i, slice):
+            return BB84Product(self.bits[i], self.bases[i])
+        return BB84Product((self.bits[i],), (self.bases[i],)).to_state()
+
+    def to_state(self) -> StateVector:
+        """Kronecker product of one column of H or I per qubit."""
+        amps = np.ones(1, dtype=complex)
+        for bit, basis in zip(self.bits, self.bases):
+            amps = np.kron(amps, (_H if basis else _I2)[:, bit])
+        return StateVector(amps)
+
+    def to_density(self) -> "DensityMatrix":
+        return self.to_state().to_density()
+
+    def measure(self, bases: Sequence[int], u: float | None = None) -> tuple[int, ...]:
+        """Outcome of measuring qubit i in basis bases[i], given a uniform u in [0, 1).
+
+        A qubit measured in its own basis gives its bit.  The other k qubits
+        read the k binary digits of floor(u * 2^k), most significant first:
+        the index ``rng.choice`` draws over the product law from
+        u = rng.random(), so seeded callers match the dense path.  u is
+        needed only when k > 0.
+        """
+        bases = tuple(bases)
+        if len(bases) != len(self.bits):
+            raise ValueError(f"{len(self.bits)}-qubit product does not match {len(bases)} measurement bases")
+        uniform = [i for i, (own, basis) in enumerate(zip(self.bases, bases)) if own != basis]
+        if not uniform:
+            return self.bits
+        if u is None:
+            raise ValueError("non-deterministic measurement requires a uniform draw")
+        out = list(self.bits)
+        for pos, i in enumerate(uniform):
+            out[i] = int(u * 2 ** (pos + 1)) & 1  # digit pos + 1 of u, exact in binary
+        return tuple(out)
+
+
+@dataclass(frozen=True)
 class DensityMatrix:
     """Possibly subnormalized mixed state; `weight` is the trace."""
 
@@ -189,10 +248,6 @@ class LinearOperator:
             if gap > FLAG_ATOL:
                 raise ValueError(f"projector flag violated by {gap}")
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.entries.shape  # type: ignore[return-value]
 
 
 def hadamard() -> LinearOperator:
@@ -446,6 +501,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def fidelity(a, b) -> float:
     """Uhlmann fidelity, squared convention: F(|x>,|y>) = |<x|y>|^2."""
+    a, b = (x.to_state() if isinstance(x, BB84Product) else x for x in (a, b))
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return abs(a.inner(b)) ** 2
     a_rho = a.to_density() if isinstance(a, StateVector) else a

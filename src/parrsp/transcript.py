@@ -138,8 +138,11 @@ def _replay_records(records: list[dict]) -> ReplayReport:
     n, width, m_blocks, seed, delta = (config[key] for key in ("n", "width", "m", "seed", "delta"))
     if any(type(v) is not int for v in (n, width, m_blocks, seed)) or type(delta) not in (int, float):
         raise TranscriptFormatError("session parameters n, width, m and seed must be integers")
-    if n < 1 or not entcf.MIN_KEY_WIDTH <= width <= entcf.MAX_KEY_WIDTH or m_blocks < 1 or not 0 <= delta <= 1:
-        raise TranscriptFormatError(f"session parameters out of range: width {width}, m {m_blocks}")
+    from .protocol import MultiRoundConfig  # protocol imports this module
+    try:
+        MultiRoundConfig(n=n, m_blocks=m_blocks, delta=delta, width=width, seed=seed)
+    except ValueError as exc:
+        raise TranscriptFormatError(f"session parameters out of range: {exc}") from None
     protocol_abort = str(summary.get("abort_reason") or "").startswith("protocol abort")
     report = ReplayReport(ok=True)
 

@@ -13,12 +13,13 @@ its keys are the full serialized inner key: 4*lambda bits, permuted by an
 affine map over GF(2^(4*lambda)).
 
 Product form.  An honest ciphertext is a product of BB84 qubits: qubit i
-is the padded bit m_i XOR r_i in basis theta_i.  ``ConjCiphertext`` keeps
-exactly that pair of bit vectors, and WKD ciphertexts carry it.  Decoding
-it under a key needs no matrix: qubit i gives its bit where the bases
-agree and a uniform bit where they differ.  The dense state is built only
-where something needs it: an attack's ``split``, a decoder POVM, or a
-caller of ``to_state``/``to_density``.
+is the padded bit m_i XOR r_i in basis theta_i.  ``ConjCiphertext`` is
+``qcore.BB84Product``, the type the honest prover's register has too, and
+WKD ciphertexts carry it.  Decoding it under a key is that type's
+``measure``: qubit i gives its bit where the bases agree and a uniform bit
+where they differ, all read from one uniform draw.  The dense state is
+built only where something needs it: an attack's ``split``, a decoder
+POVM, or a caller of ``to_state``/``to_density``.
 
 The cloning harness is exact where feasible: attacks expose their splitting
 channel and per-key decoder POVMs, so success probabilities are computed
@@ -48,13 +49,6 @@ _SIN = np.sin(np.pi / 8)
 BREIDBART_SINGLE_SUCCESS = float(_COS**2)
 
 
-def _check_bit_pair(bits: tuple[int, ...], bases: tuple[int, ...], what: str) -> None:
-    if len(bits) != len(bases):
-        raise ValueError(f"{what}: bit and basis vectors must have equal length")
-    if any(b not in (0, 1) for b in bits + bases):
-        raise ValueError(f"{what} components must be bit vectors")
-
-
 @dataclass(frozen=True)
 class ConjKey:
     """One-time-pad bits and basis bits, one of each per message bit."""
@@ -63,28 +57,18 @@ class ConjKey:
     theta: tuple[int, ...]
 
     def __post_init__(self):
-        _check_bit_pair(self.r, self.theta, "key")
+        if len(self.r) != len(self.theta):
+            raise ValueError("key: bit and basis vectors must have equal length")
+        if any(b not in (0, 1) for b in self.r + self.theta):
+            raise ValueError("key components must be bit vectors")
 
     @property
     def bits(self) -> int:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class ConjCiphertext:
-    """Honest ciphertext in product form: qubit i is |bits_i> in basis bases_i."""
-
-    bits: tuple[int, ...]
-    bases: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_bit_pair(self.bits, self.bases, "ciphertext")
-
-    def to_state(self) -> qcore.StateVector:
-        return qcore.hadamard_layer(qcore.StateVector.basis_state(self.bits), self.bases)
-
-    def to_density(self) -> qcore.DensityMatrix:
-        return self.to_state().to_density()
+# an honest ciphertext in product form: qubit i is |bits_i> in basis bases_i
+ConjCiphertext = qcore.BB84Product
 
 
 def _check_message(m: Sequence[int], bits: int) -> tuple[int, ...]:
@@ -115,40 +99,16 @@ def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
     return cc_enc_product(key, m).to_state()
 
 
-# per-qubit Born law of a product ciphertext measured in the key's basis
-_ONE_HOT = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-_UNIFORM = np.array([0.5, 0.5])
-
-
-def _product_outcome(theta: tuple[int, ...], ct: ConjCiphertext, rng) -> tuple[int, ...]:
-    """Measurement outcome of a product ciphertext in the bases `theta`.
-
-    Where the bases differ the outcome is drawn from the whole register's
-    marginal with one ``rng.choice``, the draw measuring the dense state
-    makes, so seeded runs match the dense path.
-    """
-    if len(ct.bits) != len(theta):
-        raise ValueError(f"ciphertext of {len(ct.bits)} qubits does not match a {len(theta)}-bit key")
-    if ct.bases == theta:
-        return ct.bits
-    if rng is None:
-        raise ValueError("non-deterministic decryption requires an rng")
-    marg = np.ones(1)
-    for bit, basis, t in zip(ct.bits, ct.bases, theta):
-        marg = np.outer(marg, _ONE_HOT[bit] if basis == t else _UNIFORM).ravel()
-    index = int(rng.choice(marg.shape[0], p=marg / marg.sum()))
-    return qcore.index_to_bits(index, len(theta))
-
-
 def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """Undo the basis layer, measure, strip the pad.
 
-    A ``ConjCiphertext`` decodes in closed form; a dense state is rotated
-    and measured.  Honest ciphertexts decode deterministically; anything
-    else needs an rng to sample the measurement.
+    A ``ConjCiphertext`` decodes in closed form, with one uniform draw
+    when some basis differs from the key's (the draw the dense path's
+    ``rng.choice`` makes); a dense state is rotated and measured.  Honest
+    ciphertexts decode deterministically; anything else needs an rng.
     """
     if isinstance(state, ConjCiphertext):
-        bits = _product_outcome(key.theta, state, rng)
+        bits = state.measure(key.theta, rng.random() if rng is not None and state.bases != key.theta else None)
     else:
         rotated = qcore.hadamard_layer(state, key.theta)
         bits = qcore.sample_outcome(rotated, range(key.bits), rng)
@@ -173,7 +133,7 @@ def cc_enc_classical_client(lam: int, m: Sequence[int], config: MultiRoundConfig
 
     Runs the preparation protocol with lam copies; on acceptance the key is
     (v XOR m, theta) and the honest receiver's register equals cc_enc of it.
-    Returns (key, receiver state list, protocol result); key is None on abort.
+    Returns (key, receiver register, protocol result); key is None on abort.
     """
     m = _check_message(m, lam)
     if config.n != lam:
@@ -264,9 +224,13 @@ class BreidbartAttack(CloningAttack):
         # p(w) = <beta_w| rho |beta_w>: the diagonal of rho in the rotated basis
         p = np.real(((self._bras @ ciphertext.entries) * self._bras).sum(axis=1))
         dim = 2**self.lam
+        p = np.where(p > 1e-16, p, 0.0)
+        # a nonnegative real diagonal is Hermitian and PSD: only the trace is left to check
+        if abs(p.sum() - ciphertext.weight) > qcore.NORM_ATOL * dim * dim:
+            raise ValueError(f"split trace {p.sum()} does not match the input weight {ciphertext.weight}")
         out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        out[self._markers, self._markers] = np.where(p > 1e-16, p, 0.0)
-        return qcore.DensityMatrix(out, weight=ciphertext.weight)
+        out[self._markers, self._markers] = p
+        return qcore.DensityMatrix._unchecked(out, weight=ciphertext.weight)
 
     def _relabel_povm(self, key: ConjKey):
         return {m: _basis_proj([mi ^ ri for mi, ri in zip(m, key.r)]) for m in _all_bitstrings(self.lam)}
@@ -377,10 +341,7 @@ def cloning_experiment_classical_client(
             aborts += 1
             values.append(0.0)
             continue
-        joint = states[0]
-        for s in states[1:]:
-            joint = qcore.tensor_product(joint, s)
-        rho_bc = attack.split(joint.to_density())
+        rho_bc = attack.split(states.to_density())
         values.append(_joint_success(attack.decoder_povm_b(key)[m], attack.decoder_povm_c(key)[m], rho_bc))
     arr = np.array(values)
     return {

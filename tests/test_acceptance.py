@@ -64,7 +64,7 @@ def test_c02_honest_final_state():
             prover = provers.HonestProver(seed=seed)
             result = protocol.run_multi_round(_config(n, 2, seed=10 * n + seed), prover)
             assert result.accepted
-            fid = qcore.fidelity(prover.final_joint_state(), _bb84(result.theta_vec, result.v_vec))
+            fid = qcore.fidelity(prover.final_states(), _bb84(result.theta_vec, result.v_vec))
             worst = min(worst, fid)
             assert fid >= 1 - 1e-9
     _report(2, f"prover register matches the prepared product state; min fidelity {worst:.12f}")

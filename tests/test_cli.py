@@ -249,6 +249,28 @@ class TestOutOfRangeSizes:
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 
+    def test_run_block_size_above_cap_exits_1(self):
+        code, _, err, elapsed, peak_kb = self.run_child("rsp", "run", "--n", "1", "--m", "65")
+        assert code == 1
+        assert "Traceback" not in err
+        assert "block size" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    def test_verify_summary_block_size_above_cap_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert run_cli(capsys, "rsp", "run", "--n", "1", "--m", "2", "--transcript", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["config"]["m"] = 65
+        path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        code, out, err, elapsed, peak_kb = self.run_child("transcript", "verify", "--file", str(path), "--json")
+        assert code == 1
+        assert "Traceback" not in err
+        assert "block size" in json.loads(out)["error"]
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
     def test_diagnose_at_the_copy_cap(self):
         code, out, err, _, peak_kb = self.run_child(
             "rsp", "diagnose", "--n", "5", "--width", "2", "--epsilon", "0.3", "--json"

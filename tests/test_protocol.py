@@ -119,7 +119,7 @@ class TestPrepRound:
             theta = tuple(int(b) for b in rng.integers(0, 2, size=3))
             prover = provers.HonestProver(seed=seed)
             v_vec, _ = protocol.run_prep_round(config(n=3, seed=seed), theta, prover)
-            joint = prover.final_joint_state()
+            joint = prover.final_states()
             assert qcore.fidelity(joint, bb84_target(theta, v_vec)) > 1 - 1e-9
 
     def test_v_distribution_uniform(self):

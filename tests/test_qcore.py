@@ -263,6 +263,47 @@ class TestMeasurement:
         assert branches[0][0] == (1, 0)
 
 
+class TestBB84Product:
+    def test_dense_forms_and_qubits(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            bits, bases = (tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(2))
+            prod = qcore.BB84Product(bits, bases)
+            dense = qcore.hadamard_layer(qcore.StateVector.basis_state(bits), bases)
+            assert np.allclose(prod.to_state().amplitudes, dense.amplitudes, atol=1e-15)
+            assert np.allclose(prod.to_density().entries, dense.to_density().entries, atol=1e-15)
+            assert len(prod) == n and prod[1:] == qcore.BB84Product(bits[1:], bases[1:])
+            for i, qubit in enumerate(prod):
+                single = qcore.hadamard_layer(qcore.StateVector.basis_state([bits[i]]), (bases[i],))
+                assert np.allclose(qubit.amplitudes, single.amplitudes, atol=1e-15)
+        assert qcore.fidelity(qcore.BB84Product((1,), (1,)), qcore.hadamard_layer(ket(1), (1,))) == pytest.approx(1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="equal length"):
+            qcore.BB84Product((0, 1), (1,))
+        with pytest.raises(ValueError, match="bit vectors"):
+            qcore.BB84Product((2,), (0,))
+        with pytest.raises(ValueError, match="does not match"):
+            qcore.BB84Product((0,), (0,)).measure((0, 1), 0.5)
+        with pytest.raises(ValueError, match="uniform draw"):
+            qcore.BB84Product((0,), (0,)).measure((1,))
+
+    def test_measure_is_the_dense_draw(self):
+        # one rng.random() read as the digits of floor(u 2^k) picks the
+        # outcome rng.choice picks from the same stream on the dense state
+        rng = np.random.default_rng(22)
+        for seed in range(300):
+            n = int(rng.integers(1, 6))
+            bits, bases, measured = (tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(3))
+            prod = qcore.BB84Product(bits, bases)
+            rng_product, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+            outcome = prod.measure(measured, rng_product.random() if bases != measured else None)
+            rotated = qcore.hadamard_layer(prod.to_state(), measured)
+            assert outcome == qcore.sample_outcome(rotated, range(n), rng_dense)
+            assert rng_product.bit_generator.state == rng_dense.bit_generator.state
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rho = qcore.tensor_product(ket(0).to_density(), ket(0).to_density())

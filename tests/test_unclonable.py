@@ -366,28 +366,24 @@ class TestHybrid:
         assert abs(p - expected) < 5 * sigma
 
 
-class _RecordingRng:
-    """Stands in for a Generator: keeps the law a decode draws from."""
+class _FixedDraw:
+    """Stands in for a Generator whose uniform draw is always u."""
 
-    def __init__(self):
-        self.p = None
+    def __init__(self, u):
+        self.u = u
 
-    def choice(self, n, p):
-        assert self.p is None and len(p) == n
-        self.p = np.asarray(p)
-        return 0
+    def random(self):
+        return self.u
 
 
 def _product_decode_law(key, ct):
-    rng = _RecordingRng()
-    plain = uc.cc_dec(key, ct, rng)
-    if rng.p is None:
-        return {plain: 1.0}
+    # u = (j + 1/2) / 2^lam for each j < 2^lam, each weighing 2^-lam, is a
+    # uniform law on every k <= lam leading binary digits of u
+    size = 2**key.bits
     law = {}
-    for index, p in enumerate(rng.p):
-        bits = qcore.index_to_bits(index, key.bits)
-        plain = tuple(b ^ r for b, r in zip(bits, key.r))
-        law[plain] = law.get(plain, 0.0) + float(p)
+    for j in range(size):
+        plain = uc.cc_dec(key, ct, _FixedDraw((j + 0.5) / size))
+        law[plain] = law.get(plain, 0.0) + 1.0 / size
     return law
 
 
@@ -486,6 +482,15 @@ class TestProductForm:
         res = uc.cloning_experiment(attack, lam, mode="exact")
         assert res["instances"] == 8**lam
         assert abs(res["success"] - total / 8**lam) < 1e-12
+
+    def test_breidbart_split_checks_its_trace(self):
+        # the split validates only the trace of its diagonal output
+        attack = uc.breidbart_attack(2)
+        wrong_weight = qcore.DensityMatrix._unchecked(np.eye(4, dtype=complex) / 2, weight=1.0)
+        with pytest.raises(ValueError, match="trace"):
+            attack.split(wrong_weight)
+        out = attack.split(qcore.DensityMatrix.maximally_mixed(2))
+        assert np.all(np.diag(out.entries).real >= 0) and abs(np.trace(out.entries) - 1) < 1e-12
 
     def test_breidbart_split_matches_projector_oracle(self):
         # arbitrary dense states, not just honest ciphertexts
