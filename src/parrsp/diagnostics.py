@@ -37,6 +37,10 @@ preimage-round pass probability and the structural checks of
 `validate_device` are per-copy sums.  The per-(y, d) blocks on the
 committed x ancilla space, from which all of this follows, are built only
 in the test suite, as the reference the class form is checked against.
+
+The 4^n Pauli-twirl terms of the rounding isometry depend on the device
+alone, so `Device.rounding_terms` builds them once, as `sigma_by_v` does
+the class blocks, and every isometry of the device sums over those terms.
 """
 
 from __future__ import annotations
@@ -59,13 +63,6 @@ def _parity(x: int) -> int:
 
 def _dot(u: Sequence[int], a: Sequence[int]) -> int:
     return sum(x & y for x, y in zip(u, a)) % 2
-
-
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,7 @@ class Device:
         if abs(self.anc_probs.sum() - 1.0) > 1e-12:
             raise ValueError("ancilla probabilities must sum to 1")
         self._sigma_by_v: dict[tuple[int, ...], dict[tuple[int, ...], np.ndarray]] = {}
+        self._rounding_terms: tuple | None = None
 
     # -- dimensions -----------------------------------------------------
 
@@ -227,10 +225,35 @@ class Device:
     def observable_matrix(self, kind: str, a: Sequence[int]) -> BlockObservable:
         """Z(a) or X(a): the honest Pauli string, or the sign (-1)^(a . answer) of a forced answer."""
         single = (qcore.pauli_z() if kind == "Z" else qcore.pauli_x()).entries
-        honest = _kron_all([single if bit else np.eye(2, dtype=complex) for bit in a]) if a else np.eye(1)
+        honest = qcore.kron(*[single if bit else np.eye(2, dtype=complex) for bit in a]) if a else np.eye(1)
         a_int = qcore.bits_to_index(a)
         forced = np.array([(-1.0) ** _parity(answer & a_int) for answer in self.anc_answers])
         return BlockObservable(honest, forced)
+
+    def rounding_terms(self) -> tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]:
+        """The 4^n rounding-isometry terms (a, columns), cached as read-only arrays.
+
+        Term (a, b) holds, per ancilla index j, block j of X(a) Z(b) tensored
+        with the column (sigma_X^a sigma_Z^b (x) 1)|EPR>.
+        """
+        n = self.n
+        if n > 2:
+            raise ValueError("rounding isometries are limited to 2 copies")
+        if self._rounding_terms is None:
+            epr = np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)  # maximally entangled on A x Q
+            terms = []
+            for a in itertools.product((0, 1), repeat=n):
+                x = self.observable_matrix("X", a)
+                for b in itertools.product((0, 1), repeat=n):
+                    z = self.observable_matrix("Z", b)
+                    pauli = qcore.pauli_string(a, b).entries
+                    w = (qcore.kron(pauli, np.eye(2**n, dtype=complex)) @ epr).reshape(-1, 1)
+                    columns = tuple(qcore.kron(block, w) for block in (x @ z).blocks())
+                    for column in columns:
+                        column.setflags(write=False)
+                    terms.append((a, columns))
+            self._rounding_terms = tuple(terms)
+        return self._rounding_terms
 
 
 def device_from_honest(n: int, width: int, rng: np.random.Generator) -> Device:
@@ -423,27 +446,22 @@ def state_dep_distance(a, b, psi) -> float:
 # -- rounding isometries ---------------------------------------------------
 
 
-def _epr_vector(n: int) -> np.ndarray:
-    return np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)
-
-
 @dataclass
 class BlockIsometry:
     """Isometry from the device space into device x A x Q, one block per ancilla index."""
 
     device: Device
     use_tilde: bool
-    base_terms: list  # [(pauli_vec_column, blocks of X(a)Z(b), a)] precomputed
+    base_terms: tuple  # Device.rounding_terms(): [(a, one column block per ancilla index)]
 
     def matrix_for_v(self, theta_vec, v_vec) -> list[np.ndarray]:
         """The blocks shared by every (y, d) block decoded as v_vec (any v_vec without use_tilde)."""
         signs = [
             (-1.0) ** self.device.v_parity(theta_vec, v_vec, a) if self.use_tilde else 1.0
-            for _, _, a in self.base_terms
+            for a, _ in self.base_terms
         ]
         return [
-            sum(s * np.kron(blocks[j], w_col) for s, (w_col, blocks, _) in zip(signs, self.base_terms))
-            / 2**self.device.n
+            sum(s * columns[j] for s, (_, columns) in zip(signs, self.base_terms)) / 2**self.device.n
             for j in range(self.device.anc_dim)
         ]
 
@@ -453,19 +471,7 @@ def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
 
     Normalization 2^-n * sum (not the plain average) makes V^dag V = 1.
     """
-    n = device.n
-    if n > 2:
-        raise ValueError("rounding isometries are limited to 2 copies")
-    epr = _epr_vector(n)
-    terms = []
-    for a in itertools.product((0, 1), repeat=n):
-        x = device.observable_matrix("X", a)
-        for b in itertools.product((0, 1), repeat=n):
-            z = device.observable_matrix("Z", b)
-            pauli = qcore.pauli_string(a, b).entries
-            w = (np.kron(pauli, np.eye(2**n, dtype=complex)) @ epr).reshape(-1, 1)
-            terms.append((w, (x @ z).blocks(), a))
-    return BlockIsometry(device=device, use_tilde=use_tilde, base_terms=terms)
+    return BlockIsometry(device=device, use_tilde=use_tilde, base_terms=device.rounding_terms())
 
 
 def isometry_relation_gap(device: Device) -> float:
@@ -485,7 +491,7 @@ def isometry_relation_gap(device: Device) -> float:
     worst = 0.0
     for u_vec in device.sigma_by_v(theta1):
         sz_u = qcore.pauli_string(zeros, u_vec).entries
-        corr = np.kron(eye, np.kron(sz_u, sz_u))
+        corr = qcore.kron(eye, qcore.kron(sz_u, sz_u))
         for v_mat, vt_mat in zip(v_blocks, vt_iso.matrix_for_v(theta1, u_vec)):
             worst = max(worst, float(np.linalg.norm(v_mat - corr @ vt_mat, ord=2)))
     return worst
@@ -523,7 +529,7 @@ def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
         for prob, v_mat in zip(device.anc_probs, v_blocks):
             rho = prob * (v_mat @ block @ v_mat.conj().T)
             alpha.append(_partial_trace_last(rho, rho.shape[0] // q_dim, q_dim))
-            distance += 0.5 * qcore.trace_norm(rho - np.kron(alpha[-1], bb84))
+            distance += 0.5 * qcore.trace_norm(rho - qcore.kron(alpha[-1], bb84))
         weight = float(np.trace(block).real)
         per_v.append({"v": list(v_vec), "trace_distance": distance, "weight": weight})
         if weight > 1e-14:

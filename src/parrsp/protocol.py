@@ -55,6 +55,7 @@ class MultiRoundConfig:
     """
 
     MAX_BLOCK_SIZE = 64  # largest M (4096 test rounds); unannotated, so not a field
+    MAX_COPIES = 256  # largest n; unannotated, so not a field
 
     n: int
     m_blocks: int
@@ -65,8 +66,8 @@ class MultiRoundConfig:
     reveal_theta: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one parallel copy")
+        if not 1 <= self.n <= self.MAX_COPIES:
+            raise ValueError(f"parallel copy count must lie in [1, {self.MAX_COPIES}], not {self.n}")
         if not 1 <= self.m_blocks <= self.MAX_BLOCK_SIZE:
             raise ValueError(f"block size must lie in [1, {self.MAX_BLOCK_SIZE}], not {self.m_blocks}")
         if not 0.0 <= self.delta <= 1.0:

@@ -7,6 +7,8 @@ Conventions used by the whole package:
 - Amplitudes and matrix entries are numpy complex128; every tolerance in
   this package assumes double precision.
 - Registers are capped at 20 qubits (dense representation only).
+- Every Kronecker product in the package is :func:`kron`, an outer product
+  and a reshape: numpy's products, bit for bit, without its axis bookkeeping.
 - All values are immutable after construction and safe to share across
   threads; operations are pure functions.
 """
@@ -29,6 +31,21 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+
+
+def kron(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of vectors, or of matrices, folded from the left.
+
+    The same products as folding numpy's; one factor is returned as given.
+    """
+    if not factors or factors[0].ndim not in (1, 2) or any(f.ndim != factors[0].ndim for f in factors):
+        raise ValueError("kron needs one or more factors, all vectors or all matrices")
+    out = factors[0]
+    for f in factors[1:]:
+        shape = [i * j for i, j in zip(out.shape, f.shape)]
+        outer = np.multiply.outer(out, f)
+        out = (outer if f.ndim == 1 else outer.transpose(0, 2, 1, 3)).reshape(shape)
+    return out
 
 
 def _frozen_array(values, shape_check=None) -> np.ndarray:
@@ -138,10 +155,8 @@ class BB84Product:
 
     def to_state(self) -> StateVector:
         """Kronecker product of one column of H or I per qubit."""
-        amps = np.ones(1, dtype=complex)
-        for bit, basis in zip(self.bits, self.bases):
-            amps = np.kron(amps, (_H if basis else _I2)[:, bit])
-        return StateVector(amps)
+        columns = ((_H if basis else _I2)[:, bit] for bit, basis in zip(self.bits, self.bases))
+        return StateVector(kron(np.ones(1, dtype=complex), *columns))
 
     def to_density(self) -> "DensityMatrix":
         return self.to_state().to_density()
@@ -250,27 +265,33 @@ class LinearOperator:
         object.__setattr__(self, "entries", arr)
 
 
+# validated once and shared: a LinearOperator is frozen, with read-only entries
+_HADAMARD = LinearOperator(_H, unitary=True)
+_PAULI_X = LinearOperator(_X, unitary=True)
+_PAULI_Z = LinearOperator(_Z, unitary=True)
+
+
 def hadamard() -> LinearOperator:
-    return LinearOperator(_H, unitary=True)
+    return _HADAMARD
 
 
 def pauli_x() -> LinearOperator:
-    return LinearOperator(_X, unitary=True)
+    return _PAULI_X
 
 
 def pauli_z() -> LinearOperator:
-    return LinearOperator(_Z, unitary=True)
+    return _PAULI_Z
 
 
 def tensor_product(a, b):
     """Kronecker product of two values of the same kind; qubit counts add."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
+        return StateVector(kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix._unchecked(np.kron(a.entries, b.entries), weight=a.weight * b.weight)
+        return DensityMatrix._unchecked(kron(a.entries, b.entries), weight=a.weight * b.weight)
     if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
         return LinearOperator(
-            np.kron(a.entries, b.entries),
+            kron(a.entries, b.entries),
             unitary=a.unitary and b.unitary,
             isometry=a.isometry and b.isometry,
             projector=a.projector and b.projector,
@@ -359,10 +380,7 @@ def pauli_string(a: Sequence[int], b: Sequence[int]) -> LinearOperator:
         if bi:
             m = m @ _Z
         factors.append(m)
-    out = factors[0]
-    for m in factors[1:]:
-        out = np.kron(out, m)
-    return LinearOperator(out, unitary=True)
+    return LinearOperator(kron(*factors), unitary=True)
 
 
 def _project_vector(amps: np.ndarray, targets: tuple[int, ...], outcome: tuple[int, ...], q: int) -> np.ndarray:

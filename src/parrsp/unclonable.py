@@ -23,9 +23,13 @@ POVM, or a caller of ``to_state``/``to_density``.
 
 The cloning harness is exact where feasible: attacks expose their splitting
 channel and per-key decoder POVMs, so success probabilities are computed
-as closed traces with no sampling noise.  A ciphertext depends on the key
-and message only through (m XOR r, theta), so the exhaustive mode splits
-each distinct ciphertext once.  Monte Carlo mode samples keys and messages
+as closed traces with no sampling noise.  Each attack scores a key by its
+own rule (``scorer``), building that key's decoders at most once.
+Breidbart's decoders both project on m XOR r, so E_b (x) E_c is a
+rank-one projector and its success is one diagonal entry of rho_BC, read
+without any POVM.  A ciphertext depends on the key and message only
+through (m XOR r, theta), so the exhaustive mode splits each distinct
+ciphertext once.  Monte Carlo mode samples keys and messages
 but still evaluates the conditional success exactly.
 """
 
@@ -172,6 +176,20 @@ class CloningAttack:
     def decoder_povm_c(self, key: ConjKey) -> dict[tuple[int, ...], np.ndarray]:
         raise NotImplementedError
 
+    def scorer(self, key: ConjKey):
+        """Success rule of one key: (m, rho_BC) -> Tr[(E_b^m (x) E_c^m) rho_BC].
+
+        The key's POVMs are built once; the trace contracts the reshaped rho_BC without the tensor product.
+        """
+        povm_b, povm_c = self.decoder_povm_b(key), self.decoder_povm_c(key)
+
+        def success(m, rho_bc):
+            e_b, e_c = povm_b[m], povm_c[m]
+            rho = rho_bc.entries.reshape(len(e_b), len(e_c), len(e_b), len(e_c))
+            return float(np.einsum("ij,kl,jlik->", e_b, e_c, rho).real)
+
+        return success
+
 
 def _basis_proj(bits: Sequence[int]) -> np.ndarray:
     dim = 2 ** len(bits)
@@ -213,10 +231,7 @@ class BreidbartAttack(CloningAttack):
         super().__init__(lam)
         # row w is <beta_w|, the intermediate-basis bra of outcome w (real)
         single = np.array([[_COS, _SIN], [-_SIN, _COS]])
-        bras = single
-        for _ in range(lam - 1):
-            bras = np.kron(bras, single)
-        self._bras = bras
+        self._bras = qcore.kron(*[single] * lam)
         dim = 2**lam
         self._markers = np.arange(dim) * (dim + 1)  # index of |w>|w> on BC
 
@@ -241,6 +256,15 @@ class BreidbartAttack(CloningAttack):
     def decoder_povm_c(self, key: ConjKey):
         return self._relabel_povm(key)
 
+    def scorer(self, key: ConjKey):
+        """Both decoders project on |m XOR r>: the success is rho_BC's diagonal entry there, for any rho_BC."""
+
+        def success(m, rho_bc):
+            marker = self._markers[qcore.bits_to_index([mi ^ ri for mi, ri in zip(m, key.r)])]
+            return float(rho_bc.entries[marker, marker].real)
+
+        return success
+
 
 def breidbart_attack(lam: int) -> CloningAttack:
     return BreidbartAttack(lam)
@@ -250,17 +274,9 @@ def forward_attack(lam: int) -> CloningAttack:
     return ForwardAttack(lam)
 
 
-def _joint_success(e_b: np.ndarray, e_c: np.ndarray, rho_bc: qcore.DensityMatrix) -> float:
-    """Tr[(E_b (x) E_c) rho_BC], contracted over the reshaped rho without the kron."""
-    db, dc = e_b.shape[0], e_c.shape[0]
-    rho = rho_bc.entries.reshape(db, dc, db, dc)
-    return float(np.einsum("ij,kl,jlik->", e_b, e_c, rho).real)
-
-
 def _attack_success_given(attack: CloningAttack, key: ConjKey, m: tuple[int, ...]) -> float:
     """Exact success probability of one (key, message) instance."""
-    rho_bc = attack.split(cc_enc(key, m).to_density())
-    return _joint_success(attack.decoder_povm_b(key)[m], attack.decoder_povm_c(key)[m], rho_bc)
+    return attack.scorer(key)(m, attack.split(cc_enc(key, m).to_density()))
 
 
 def cloning_experiment(
@@ -275,8 +291,8 @@ def cloning_experiment(
     Exact mode enumerates all 4^lam keys and 2^lam messages (lam <= 4).
     It walks theta, then r, then m: the ciphertext depends on (r, m) only
     through m XOR r, so each theta's 2^lam distinct ciphertexts are split
-    once and held while its keys are scored, and the decoder POVMs are
-    built once per key.  Monte Carlo samples keys and messages but
+    once and held while its keys are scored, and each key's scorer is
+    built once.  Monte Carlo samples keys and messages but
     evaluates each instance exactly, so the reported standard error covers
     all the randomness there is.
     """
@@ -288,11 +304,9 @@ def cloning_experiment(
         for theta in strings:
             splits = [attack.split(ConjCiphertext(x, theta).to_density()) for x in strings]
             for r_index, r in enumerate(strings):
-                key = ConjKey(r, theta)
-                povm_b = attack.decoder_povm_b(key)
-                povm_c = attack.decoder_povm_c(key)
+                score = attack.scorer(ConjKey(r, theta))
                 for m_index, m in enumerate(strings):
-                    total += _joint_success(povm_b[m], povm_c[m], splits[m_index ^ r_index])
+                    total += score(m, splits[m_index ^ r_index])
         count = len(strings) ** 3
         return {"success": total / count, "stderr": None, "mode": "exact", "instances": count}
     if mode == "mc":
@@ -341,8 +355,7 @@ def cloning_experiment_classical_client(
             aborts += 1
             values.append(0.0)
             continue
-        rho_bc = attack.split(states.to_density())
-        values.append(_joint_success(attack.decoder_povm_b(key)[m], attack.decoder_povm_c(key)[m], rho_bc))
+        values.append(attack.scorer(key)(m, attack.split(states.to_density())))
     arr = np.array(values)
     return {
         "success": float(arr.mean()),

@@ -9,6 +9,10 @@ import pytest
 from parrsp import cli, wire
 
 
+# SHA-256 of the seeded diagnose reports in TestDiagnose.test_seeded_reports_pinned
+PINNED_DIAGNOSE_SHA256 = "6ed01cdad7b3c4746dadd705bffde4d1cfed8de4ae9cb5bd5e2ba9a9458e8075"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -177,6 +181,29 @@ class TestDiagnose:
         assert code == 0
         assert abs(payload["gamma_H"] - 0.2) < 1e-10
 
+    def test_seeded_reports_pinned(self, capsys):
+        """One SHA-256 over seeded `rsp diagnose --json` reports.
+
+        It pins every diagnostics value to the bit, honest and perturbed,
+        with and without the rounding isometry: a change that moves any of
+        them in the last place fails.  The floats come from numpy's LAPACK
+        and BLAS, so the constant belongs to one numpy build (numpy 2.4,
+        scipy-openblas 0.3.31 on x86-64).
+        """
+        import hashlib
+
+        digest = hashlib.sha256()
+        for n in (1, 2, 3):
+            for epsilon in ("0", "0.3"):
+                for seed in (0, 1):
+                    code, out, _ = run_cli(
+                        capsys, "rsp", "diagnose", "--n", str(n), "--width", "2", "--epsilon", epsilon,
+                        "--seed", str(seed), "--json",
+                    )
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == PINNED_DIAGNOSE_SHA256
+
 
 class TestUnclonableDemo:
     def test_exact_breidbart(self, capsys):
@@ -268,6 +295,28 @@ class TestOutOfRangeSizes:
         assert code == 1
         assert "Traceback" not in err
         assert "block size" in json.loads(out)["error"]
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    def test_run_copies_above_cap_exits_1(self):
+        code, _, err, elapsed, peak_kb = self.run_child("rsp", "run", "--n", "257", "--m", "1")
+        assert code == 1
+        assert "Traceback" not in err
+        assert "copy count" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    def test_verify_summary_copies_above_cap_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert run_cli(capsys, "rsp", "run", "--n", "1", "--m", "2", "--transcript", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["config"]["n"] = 257
+        path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        code, out, err, elapsed, peak_kb = self.run_child("transcript", "verify", "--file", str(path), "--json")
+        assert code == 1
+        assert "Traceback" not in err
+        assert "copy count" in json.loads(out)["error"]
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 

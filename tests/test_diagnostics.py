@@ -284,6 +284,26 @@ class TestRoundingIsometry:
         with pytest.raises(ValueError, match="2 copies"):
             dg.rounding_isometry(device, False)
 
+    def test_terms_built_once_per_device(self, monkeypatch):
+        # the 4^2 terms need 4 X(a) and 16 Z(b) observables, whatever the
+        # number of isometries built from them
+        calls = []
+        observable_matrix = dg.Device.observable_matrix
+
+        def counted(self, kind, a):
+            calls.append((kind, tuple(a)))
+            return observable_matrix(self, kind, a)
+
+        monkeypatch.setattr(dg.Device, "observable_matrix", counted)
+        device = dg.device_from_honest(2, 2, np.random.default_rng(7))
+        dg.isometry_relation_gap(device)
+        for theta in itertools.product((0, 1), repeat=2):
+            dg.bb84_report(device, theta)
+        assert len(calls) == 20
+        iso = dg.rounding_isometry(device, use_tilde=True)
+        assert iso.base_terms is dg.rounding_isometry(device, use_tilde=False).base_terms
+        assert all(not column.flags.writeable for _, columns in iso.base_terms for column in columns)
+
 
 class TestBb84Form:
     def test_honest_every_theta(self, dev2):

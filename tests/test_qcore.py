@@ -93,6 +93,75 @@ class TestTensorProduct:
         assert out.qubit_count == 3
 
 
+class TestKron:
+    """qcore.kron against numpy's own Kronecker product as the oracle."""
+
+    @staticmethod
+    def factors(rng, count, shape, complex_):
+        fs = []
+        for i in range(count):
+            f = rng.standard_normal(shape(i))
+            if complex_:
+                f = f + 1j * rng.standard_normal(shape(i))
+            fs.append(f)
+        return fs
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda i: (i + 2,), lambda i: (2, 2), lambda i: (i + 1, 1), lambda i: (2, i + 1)],
+        ids=["vector", "square", "column", "rectangular"],
+    )
+    def test_bit_identical_to_numpy(self, count, complex_, shape):
+        import functools
+
+        fs = self.factors(np.random.default_rng(count), count, shape, complex_)
+        out = qcore.kron(*fs)
+        expected = functools.reduce(np.kron, fs)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    def test_mixed_real_and_complex(self):
+        import functools
+
+        fs = [np.array([[1.0, -2.0], [0.5, 3.0]]), H, np.array([[0, 1j], [-1j, 0]])]
+        assert np.array_equal(qcore.kron(*fs), functools.reduce(np.kron, fs))
+
+    def test_mixed_ndims_rejected(self):
+        with pytest.raises(ValueError, match="all vectors or all matrices"):
+            qcore.kron(np.ones(2), np.eye(2))
+        with pytest.raises(ValueError, match="all vectors or all matrices"):
+            qcore.kron(np.eye(2), np.ones((2, 1)), np.ones(2))
+
+    def test_no_factors_rejected(self):
+        with pytest.raises(ValueError, match="one or more"):
+            qcore.kron()
+
+    def test_package_has_one_kronecker_product(self):
+        # every Kronecker product in the package goes through qcore.kron
+        import pathlib
+        import re
+
+        import parrsp
+
+        package = pathlib.Path(parrsp.__file__).parent
+        offenders = [
+            f"{path.name}:{i}"
+            for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\b(np|numpy)\.kron\b", line)
+        ]
+        assert offenders == []
+
+
+class TestSharedOperators:
+    def test_validated_once_and_shared(self):
+        for make in (qcore.hadamard, qcore.pauli_x, qcore.pauli_z):
+            assert make() is make()
+            assert make().unitary and not make().entries.flags.writeable
+
+
 class TestApplyOperator:
     def test_hadamard_on_zero(self):
         assert np.allclose(plus_state().amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])

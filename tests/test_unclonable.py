@@ -469,7 +469,7 @@ class TestProductForm:
         with pytest.raises(ValueError, match="equal length"):
             uc.ConjCiphertext((0, 1), (1,))
 
-    @pytest.mark.parametrize("lam", [1, 2])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
     def test_exact_loop_equals_instance_sum(self, lam, make_attack):
         attack = make_attack(lam)
@@ -510,3 +510,20 @@ class TestProductForm:
                 marker[qcore.bits_to_index(w), qcore.bits_to_index(w)] = 1.0
                 expected += np.trace(proj @ state.entries).real * np.kron(marker, marker)
             assert np.abs(attack.split(state).entries - expected).max() < 1e-12
+
+    def test_breidbart_diagonal_read_equals_povm_rule(self):
+        # the diagonal read is exact for any state on BC, not just split outputs:
+        # the generic rule contracts the decoder projectors against every entry
+        lam = 2
+        attack = uc.breidbart_attack(lam)
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = a @ a.conj().T
+        rho_bc = qcore.DensityMatrix(rho / np.trace(rho).real)
+        for r in _bitstrings(lam):
+            for theta in _bitstrings(lam):
+                key = uc.ConjKey(r, theta)
+                diagonal = attack.scorer(key)
+                generic = uc.CloningAttack.scorer(attack, key)
+                for m in _bitstrings(lam):
+                    assert diagonal(m, rho_bc) == generic(m, rho_bc)
