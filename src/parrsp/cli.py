@@ -14,11 +14,14 @@ Every subcommand accepts ``--json`` (machine-readable single object on
 stdout) and ``--config FILE`` (JSON object supplying any long flag; the
 command line wins on conflicts).  Exit codes: 0 success, 2 protocol abort
 or verification mismatch, 1 usage or internal error.
+
+The parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -79,6 +82,7 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="parrsp", description="BB84 remote-preparation protocol toolkit")
     sub = parser.add_subparsers(dest="group", required=True)

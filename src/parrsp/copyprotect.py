@@ -4,9 +4,11 @@ A point function maps its 4*lam-bit marked input to a lam-bit marked
 output and everything else to zeros.  Protection hides the marked input
 inside a permuted pair (prefix tag, basis string), delegates the basis
 string to the receiver through the interactive preparation protocol, and
-publishes the classical offsets needed for evaluation.  Evaluation runs a
-coherent prefix comparison against an ancilla, measures only the ancilla,
-and either rewinds (wrong input, output zeros) or reads the program out.
+publishes the classical offsets needed for evaluation.  Evaluation measures
+the projector P onto the prefix the input selects, in the input's bases: the
+effect of a prefix comparison into an ancilla that is measured and then
+uncomputed, with no ancilla simulated.  A mismatch rotates (1 - P) of the
+program back (output zeros); a match reads the program out.
 
 The marked output length is lam: the offset arithmetic (the published
 correction is the XOR of a lam-bit half of the prepared string with the
@@ -75,6 +77,8 @@ class ProtectedProgram:
             raise ValueError("program register must hold 2*lam qubits")
         if len(self.t) != self.lam or self.perm.width != 4 * self.lam:
             raise ValueError("inconsistent program lengths")
+        if any(b not in (0, 1) for b in self.r + self.t):
+            raise ValueError("program offsets r and t must be bit vectors")
 
 
 def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng: np.random.Generator):
@@ -103,47 +107,30 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
     return ProtectedProgram(sigma=result.prover_final_state.to_state(), r=r, perm=perm, t=t), result
 
 
-def _prefix_compare_operator(lam: int, pattern: Sequence[int]) -> qcore.LinearOperator:
-    """Flip the last of lam+1 qubits iff the first lam match the pattern."""
-    pattern_index = qcore.bits_to_index(pattern)
-    dim = 2 ** (lam + 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for p in range(2**lam):
-        for anc in (0, 1):
-            src = (p << 1) | anc
-            dst = (p << 1) | (anc ^ (1 if p == pattern_index else 0))
-            mat[dst, src] = 1.0
-    return qcore.LinearOperator(mat, unitary=True)
-
-
-def _eval_prepared(prog: ProtectedProgram, x: Sequence[int]):
-    """Shared setup: rotated state with ancilla, ready for the prefix check."""
+def _rotated(prog: ProtectedProgram, x: Sequence[int]):
+    """The program rotated into x's bases as a 2^lam x 2^lam matrix whose rows
+    are the prefix qubits, with the row the prefix must match, s_x and theta_x."""
     lam = prog.lam
     x = tuple(x)
     if len(x) != 4 * lam:
         raise ValueError("evaluation input must have 4*lam bits")
     s_theta = gf2.pip_eval(prog.perm, x)
     s_x, theta_x = s_theta[: 2 * lam], s_theta[2 * lam :]
-    pattern = tuple(a ^ b for a, b in zip(prog.r, s_x[:lam]))
-    state = qcore.tensor_product(prog.sigma, qcore.StateVector.basis_state([0]))
-    state = qcore.hadamard_layer(state, theta_x + (0,))
-    compare = _prefix_compare_operator(lam, pattern)
-    targets = list(range(lam)) + [2 * lam]
-    state = qcore.apply_operator(compare, state, targets)
-    return state, s_x, theta_x, compare, targets
+    row = qcore.bits_to_index(tuple(a ^ b for a, b in zip(prog.r, s_x[:lam])))
+    rotated = qcore.hadamard_layer(prog.sigma, theta_x).amplitudes.reshape(2**lam, 2**lam)
+    return rotated, row, s_x, theta_x
 
 
 def cp_accept_probability(prog: ProtectedProgram, x: Sequence[int]) -> float:
     """Exact probability that evaluation takes the matching branch."""
-    state, _, _, _, _ = _eval_prepared(prog, x)
-    branches = qcore.enumerate_measurement(state, [2 * prog.lam])
-    return float(sum(p for outcome, p, _ in branches if outcome == (1,)))
+    rotated, row, _, _ = _rotated(prog, x)
+    return float(np.vdot(rotated[row], rotated[row]).real)
 
 
 def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.Generator):
     """Run the program on x; returns (output bits, post-program, accepted).
 
-    Only the ancilla is measured on the mismatch branch, so the program
+    Only the verdict is measured on the mismatch branch, so the program
     survives (gently disturbed when the verdict was not deterministic).
     On the matching branch the register is read out and re-prepared from
     the observed outcome, which restores the program exactly whenever the
@@ -151,17 +138,18 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
     """
     if prog.lam != lam:
         raise ValueError("program does not match lam")
-    state, s_x, theta_x, compare, targets = _eval_prepared(prog, x)
-    anc = 2 * lam
-    verdict, state = qcore.measure_computational(state, [anc], rng)
-    state = qcore.apply_operator(compare, state, targets)  # self-inverse uncompute
-    if verdict == (0,):
-        state = qcore.hadamard_layer(state, theta_x + (0,))
-        program_state = qcore.StateVector(state.amplitudes.reshape(-1, 2)[:, 0])
-        return (0,) * lam, replace(prog, sigma=program_state), False
-    w, state = qcore.measure_computational(state, range(2 * lam), rng)
-    w1 = w[lam:]
-    out = tuple(a ^ b ^ c for a, b, c in zip(w1, s_x[lam:], prog.t))
+    rotated, row, s_x, theta_x = _rotated(prog, x)
+    branches = np.zeros((2,) + rotated.shape, dtype=complex)  # (1 - P) psi and P psi
+    branches[1, row] = rotated[row]
+    branches[0] = rotated - branches[1]
+    branches = branches.reshape(2, -1)
+    norms = np.linalg.norm(branches, axis=1)
+    verdict = qcore.born_index(norms**2, rng)
+    state = qcore.StateVector(branches[verdict] / norms[verdict])
+    if not verdict:
+        return (0,) * lam, replace(prog, sigma=qcore.hadamard_layer(state, theta_x)), False
+    w, _ = qcore.measure_computational(state, range(2 * lam), rng)
+    out = tuple(a ^ b ^ c for a, b, c in zip(w[lam:], s_x[lam:], prog.t))
     return out, replace(prog, sigma=qcore.BB84Product(w, theta_x).to_state()), True
 
 
@@ -263,19 +251,21 @@ class ZeroPirate(Pirate):
     answer_c = answer_b
 
 
+# the intermediate basis, rotated by pi/8; validated once and shared
+_BREIDBART_BASIS = qcore.LinearOperator(
+    np.array([[np.cos(np.pi / 8), np.sin(np.pi / 8)], [-np.sin(np.pi / 8), np.cos(np.pi / 8)]]), unitary=True
+)
+
+
 class BreidbartPirate(Pirate):
     """Measures every program qubit in the intermediate basis up front and
     gives both parties the classical outcome plus the published offsets."""
 
     def split(self, prog, rng):
-        cos, sin = np.cos(np.pi / 8), np.sin(np.pi / 8)
-        basis = np.array([[cos, sin], [-sin, cos]], dtype=complex)
-        state = prog.sigma
-        rotated = state
-        op = qcore.LinearOperator(basis, unitary=True)
-        for i in range(state.qubit_count):
-            rotated = qcore.apply_operator(op, rotated, [i])
-        w, _ = qcore.measure_computational(rotated, range(state.qubit_count), rng)
+        rotated = prog.sigma
+        for i in range(rotated.qubit_count):
+            rotated = qcore.apply_operator(_BREIDBART_BASIS, rotated, [i])
+        w, _ = qcore.measure_computational(rotated, range(rotated.qubit_count), rng)
         share = (w, prog.r, prog.perm, prog.t)
         return share, share
 

@@ -168,7 +168,7 @@ def qced_evaluate_reference(keys: QcedKeys, circuit: Circuit, ct: Sequence[int],
     dist = qced_output_distribution(keys, circuit, ct)
     outcomes = sorted(dist)
     probs = np.array([dist[o] for o in outcomes])
-    pick = outcomes[int(rng.choice(len(outcomes), p=probs / probs.sum()))]
+    pick = outcomes[qcore.born_index(probs, rng)]
     sk_star = tuple(int(b) for b in rng.integers(0, 2, size=circuit.qubit_count))
     return sk_star, otp_enc(sk_star, pick)
 

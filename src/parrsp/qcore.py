@@ -11,6 +11,8 @@ Conventions used by the whole package:
   and a reshape: numpy's products, bit for bit, without its axis bookkeeping.
 - All values are immutable after construction and safe to share across
   threads; operations are pure functions.
+- States are validated at the boundary, where a caller or a file supplies
+  them; steps whose result is valid by construction build it `_unchecked`.
 """
 
 from __future__ import annotations
@@ -101,6 +103,16 @@ class StateVector:
         object.__setattr__(self, "qubit_count", q)
 
     @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray) -> "StateVector":
+        """Internal factory for steps that keep the norm at 1 by construction."""
+        obj = object.__new__(cls)
+        arr = np.asarray(amplitudes, dtype=complex)
+        arr.setflags(write=False)
+        object.__setattr__(obj, "amplitudes", arr)
+        object.__setattr__(obj, "qubit_count", _qubit_count_for(arr.shape[0]))
+        return obj
+
+    @classmethod
     def basis_state(cls, bits: Sequence[int] | int, qubit_count: int | None = None) -> "StateVector":
         if isinstance(bits, int):
             if qubit_count is None:
@@ -156,7 +168,7 @@ class BB84Product:
     def to_state(self) -> StateVector:
         """Kronecker product of one column of H or I per qubit."""
         columns = ((_H if basis else _I2)[:, bit] for bit, basis in zip(self.bits, self.bases))
-        return StateVector(kron(np.ones(1, dtype=complex), *columns))
+        return StateVector._unchecked(kron(np.ones(1, dtype=complex), *columns))
 
     def to_density(self) -> "DensityMatrix":
         return self.to_state().to_density()
@@ -338,7 +350,8 @@ def apply_operator(op: LinearOperator, state, targets: Sequence[int]):
     """Apply `op` on `targets`; density matrices map rho -> O rho O^dagger."""
     if isinstance(state, StateVector):
         targets = _check_targets(targets, state.qubit_count, op.entries.shape[0])
-        return StateVector(_apply_matrix_to_vector(op.entries, state.amplitudes, targets, state.qubit_count))
+        out = _apply_matrix_to_vector(op.entries, state.amplitudes, targets, state.qubit_count)
+        return (StateVector._unchecked if op.unitary else StateVector)(out)
     if isinstance(state, DensityMatrix):
         q = state.qubit_count
         targets = _check_targets(targets, q, op.entries.shape[0])
@@ -405,7 +418,7 @@ def project_computational(state, targets: Sequence[int], outcome: Sequence[int])
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
             raise ValueError(f"zero-norm branch {outcome} requested")
-        return StateVector(vec / norm)
+        return StateVector._unchecked(vec / norm)
     if isinstance(state, DensityMatrix):
         q = state.qubit_count
         proj_small = np.zeros((2 ** len(targets), 2 ** len(targets)), dtype=complex)
@@ -436,8 +449,13 @@ def _outcome_marginal(state, targets: tuple[int, ...]) -> np.ndarray:
         sorted_targets = sorted(targets)
         perm = [sorted_targets.index(t) for t in targets]
         marg = np.transpose(marg, perm)
-    # clip float dust so sampling never sees a negative probability
-    return np.clip(np.asarray(marg).reshape(-1), 0.0, None)
+    return np.asarray(marg).reshape(-1)
+
+
+def born_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The one Born draw: an index with probability proportional to `probs`, dust clipped."""
+    probs = np.clip(probs, 0.0, None)
+    return int(rng.choice(probs.shape[0], p=probs / probs.sum()))
 
 
 def enumerate_measurement(state, targets: Sequence[int]):
@@ -465,8 +483,7 @@ def measure_computational(state, targets: Sequence[int], rng: np.random.Generato
     Only the sampled branch's post-state is constructed.
     """
     targets = _check_targets(targets, state.qubit_count, 2 ** len(tuple(targets)))
-    marg = _outcome_marginal(state, targets)
-    index = int(rng.choice(marg.shape[0], p=marg / marg.sum()))
+    index = born_index(_outcome_marginal(state, targets), rng)
     outcome = index_to_bits(index, len(targets))
     return outcome, project_computational(state, targets, outcome)
 
@@ -483,8 +500,7 @@ def sample_outcome(state, targets: Sequence[int], rng: np.random.Generator | Non
         return index_to_bits(int(support[0]), len(targets))
     if rng is None:
         raise ValueError("non-deterministic measurement requires an rng")
-    index = int(rng.choice(marg.shape[0], p=marg / marg.sum()))
-    return index_to_bits(index, len(targets))
+    return index_to_bits(born_index(marg, rng), len(targets))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

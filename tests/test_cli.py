@@ -11,6 +11,8 @@ from parrsp import cli, wire
 
 # SHA-256 of the seeded diagnose reports in TestDiagnose.test_seeded_reports_pinned
 PINNED_DIAGNOSE_SHA256 = "6ed01cdad7b3c4746dadd705bffde4d1cfed8de4ae9cb5bd5e2ba9a9458e8075"
+# SHA-256 of the seeded piracy reports in TestCpPirateReports.test_seeded_reports_pinned
+PINNED_PIRATE_SHA256 = "fdd04389c854baadcd675c3eb30a6b9ef96eb4e35bd439855149e6d37664ca60"
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +343,92 @@ class TestOutOfRangeSizes:
         assert code == 1
         assert "Traceback" not in err
         assert "trials" in err
+
+
+    @pytest.mark.parametrize("lam", ["5", "99"])
+    def test_cp_protect_exits_1_before_allocating(self, lam, tmp_path):
+        code, _, err, elapsed, peak_kb = self.run_child(
+            "cp", "protect", "--lambda", lam, "--out", str(tmp_path / "p.json"), "--state-out", str(tmp_path / "p.state")
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert "lam" in err
+        assert not (tmp_path / "p.json").exists()
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("lam", ["5", "99"])
+    @pytest.mark.parametrize("pirate", ["forward", "breidbart"])
+    def test_cp_pirate_exits_1_before_allocating(self, pirate, lam):
+        code, _, err, elapsed, peak_kb = self.run_child("cp", "pirate", "--lambda", lam, "--pirate", pirate)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "lam" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+
+class TestCpEvalInput:
+    def test_edited_offset_exits_1(self, capsys, tmp_path):
+        prog, state = tmp_path / "prog.json", tmp_path / "prog.state"
+        code, payload, _ = run_json(
+            capsys, "cp", "protect", "--lambda", "1", "--seed", "4", "--out", str(prog), "--state-out", str(state)
+        )
+        assert code == 0
+        meta = json.loads(prog.read_text())
+        meta["t"] = "2"
+        prog.write_text(json.dumps(meta))
+        code, out, err = run_cli(capsys, "cp", "eval", "--program", str(prog), "--x", payload["y"], "--json")
+        assert code == 1
+        assert out == ""
+        assert "bit vectors" in err and "Traceback" not in err
+
+
+class TestCpPirateReports:
+    def test_seeded_reports_pinned(self, capsys):
+        """One SHA-256 over seeded `cp pirate --json` reports.
+
+        Every pirate against every challenge distribution, lambda 1 and 2,
+        seeds 0-2: it pins each Born draw of protection, evaluation and the
+        Breidbart split, so a change to the evaluation circuit that moves
+        any draw fails.  The constant was computed with the comparison
+        ancilla simulated explicitly (see tests/cp_oracle.py).
+        """
+        import hashlib
+
+        digest = hashlib.sha256()
+        for lam in ("1", "2"):
+            for pirate in ("forward", "breidbart", "zero"):
+                for challenge in ("marked", "unmarked", "uniform"):
+                    for seed in ("0", "1", "2"):
+                        code, out, _ = run_cli(
+                            capsys, "cp", "pirate", "--lambda", lam, "--pirate", pirate, "--challenge", challenge,
+                            "--trials", "40", "--seed", seed, "--json",
+                        )
+                        assert code == 0
+                        digest.update(out.encode())
+        assert digest.hexdigest() == PINNED_PIRATE_SHA256
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_print_what_fresh_processes_print(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3, "pirate": "breidbart", "json": True}))
+        calls = [
+            ("cp", "pirate", "--lambda", "1", "--trials", "5", "--config", str(cfg_path)),
+            ("cp", "pirate", "--lambda", "1", "--trials", "5"),
+            ("rsp", "run", "--frobnicate"),
+            ("rsp", "diagnose", "--n", "1", "--json"),
+            ("rsp", "diagnose", "--n", "1", "--seed", "2"),
+            ("cp", "pirate", "--lambda", "1", "--trials", "5", "--config", str(cfg_path), "--seed", "4"),
+        ]
+        in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+        fresh = [TestOutOfRangeSizes.run_child(*argv)[:2] for argv in calls]
+        assert in_process == fresh
+        assert in_process[0][1] != in_process[1][1]
 
 
 class TestCpCommands:

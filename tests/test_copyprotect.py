@@ -1,8 +1,11 @@
 """Copy-protection: protect/eval correctness, rewinding, piracy harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import cp_oracle as oracle
 from parrsp import copyprotect as cp
 from parrsp import gf2, qcore
 from parrsp.protocol import MultiRoundConfig, run_multi_round
@@ -318,3 +321,102 @@ class TestSerialization:
         assert loaded.r == prog.r and loaded.t == prog.t
         assert loaded.perm == prog.perm
         assert np.allclose(loaded.sigma.amplitudes, prog.sigma.amplitudes)
+
+
+def random_program(lam, rng):
+    """A program with a Haar-random register and random offsets and key."""
+    amps = rng.normal(size=4**lam) + 1j * rng.normal(size=4**lam)
+    return cp.ProtectedProgram(
+        sigma=qcore.StateVector(amps / np.linalg.norm(amps)),
+        r=tuple(int(b) for b in rng.integers(0, 2, size=lam)),
+        perm=gf2.pip_sample(4 * lam, rng),
+        t=tuple(int(b) for b in rng.integers(0, 2, size=lam)),
+    )
+
+
+def oracle_programs(lam, rng):
+    """Random, freshly protected and entangled post-mismatch programs."""
+    programs = [random_program(lam, rng) for _ in range(3)]
+    for seed in range(2):
+        f, prog = protect(lam, seed=300 + 10 * lam + seed)
+        programs.append(prog)
+        # a mismatch whose verdict was uncertain leaves the register entangled
+        for _ in range(200):
+            x = tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
+            if 0.05 < oracle.accept_probability(prog, x) < 0.95:
+                _, post, accepted = oracle.cp_eval(prog, x, rng)
+                if not accepted:
+                    programs.append(post)
+                    break
+    return programs
+
+
+class TestAncillaOracle:
+    """Ancilla-free evaluation against the explicit ancilla circuit."""
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_accept_probability_matches_ancilla_circuit(self, lam):
+        rng = np.random.default_rng(400 + lam)
+        for prog in oracle_programs(lam, rng):
+            for _ in range(12):
+                x = tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
+                assert abs(cp.cp_accept_probability(prog, x) - oracle.accept_probability(prog, x)) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_seeded_eval_matches_ancilla_circuit(self, lam):
+        rng = np.random.default_rng(500 + lam)
+        branches = set()
+        for prog in oracle_programs(lam, rng):
+            for _ in range(8):
+                x = tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
+                seed = int(rng.integers(0, 2**32))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                out, post, accepted = cp.cp_eval(lam, prog, x, ours)
+                out_ref, post_ref, accepted_ref = oracle.cp_eval(prog, x, theirs)
+                assert (out, accepted) == (out_ref, accepted_ref)
+                assert np.max(np.abs(post.sigma.amplitudes - post_ref.sigma.amplitudes)) < 1e-12
+                assert (post.r, post.perm, post.t) == (prog.r, prog.perm, prog.t)
+                # the same draws: both generators end in the same state
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                branches.add(accepted)
+        assert branches == {False, True}
+
+    def test_ancilla_circuit_left_src(self):
+        from pathlib import Path
+
+        for path in Path(cp.__file__).parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert "_prefix_compare_operator" not in text, path
+            assert "_eval_prepared" not in text, path
+
+
+class TestProgramValidation:
+    @pytest.mark.parametrize("field", ["r", "t"])
+    def test_offsets_must_be_bits(self, field):
+        _, prog = protect(1, seed=6)
+        with pytest.raises(ValueError, match="bit vectors"):
+            replace(prog, **{field: (2,)})
+
+    def test_load_program_rejects_edited_offset(self, tmp_path):
+        import json
+
+        _, prog = protect(1, seed=6)
+        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
+        cp.save_program(prog, json_path, state_path)
+        meta = json.loads(json_path.read_text())
+        meta["t"] = "2"
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="bit vectors"):
+            cp.load_program(json_path)
+
+
+class TestBreidbartSplit:
+    def test_split_builds_no_operator(self, monkeypatch):
+        _, prog = protect(2, seed=9)
+
+        def built(self):
+            raise AssertionError("split built a LinearOperator")
+
+        monkeypatch.setattr(qcore.LinearOperator, "__post_init__", built)
+        share_b, share_c = cp.BreidbartPirate().split(prog, np.random.default_rng(0))
+        assert share_b is share_c and len(share_b[0]) == 4

@@ -332,6 +332,38 @@ class TestMeasurement:
         assert branches[0][0] == (1, 0)
 
 
+class TestCheckedAtTheBoundary:
+    """Norm checks run on caller input and non-unitary steps, not on steps
+    whose result is normalised by construction."""
+
+    def test_non_unitary_operator_still_validates(self):
+        with pytest.raises(ValueError, match="norm"):
+            qcore.apply_operator(qcore.LinearOperator(2 * np.eye(2)), ket(0), [0])
+        project_zero = qcore.LinearOperator(np.diag([1.0, 0.0]), projector=True)
+        with pytest.raises(ValueError, match="norm"):
+            qcore.apply_operator(project_zero, plus_state(), [0])
+
+    def test_unchecked_results_are_frozen_states(self):
+        results = [
+            plus_state(),
+            qcore.project_computational(qcore.tensor_product(plus_state(), ket(1)), [0], [1]),
+            qcore.BB84Product((1, 0, 1), (1, 1, 0)).to_state(),
+        ]
+        for state, qubits in zip(results, (1, 2, 3)):
+            assert type(state) is qcore.StateVector and state.qubit_count == qubits
+            assert not state.amplitudes.flags.writeable
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+    def test_born_index_is_one_clipped_choice(self):
+        probs = np.array([0.25, -1e-18, 0.5, 0.25])
+        for seed in range(20):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            clipped = np.clip(probs, 0.0, None)
+            assert qcore.born_index(probs, ours) == theirs.choice(4, p=clipped / clipped.sum())
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert qcore.born_index(probs, ours) != 1
+
+
 class TestBB84Product:
     def test_dense_forms_and_qubits(self):
         rng = np.random.default_rng(21)
