@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     prot.add_argument("--y", type=_bits, help="marked input (4*lambda bits; random if absent)")
     prot.add_argument("--m", type=_bits, help="marked output (lambda bits; random if absent)")
     prot.add_argument("--out", required=True, help="program metadata JSON path")
-    prot.add_argument("--state-out", required=True, help="statevector side file path")
+    prot.add_argument("--state-out", required=True, help="side file path for a dense register's amplitudes")
     prot.add_argument("--blocks", type=int, default=2, help="protocol block size M")
     prot.set_defaults(func=cmd_cp_protect)
 
@@ -310,9 +310,7 @@ def cmd_cp_eval(args) -> int:
     prog = copyprotect.load_program(args.program)
     out, post, accepted = copyprotect.cp_eval(prog.lam, prog, args.x, rng)
     if not args.no_save:
-        with open(args.program, "r", encoding="utf-8") as fh:
-            state_path = json.load(fh)["state_file"]
-        copyprotect.save_program(post, args.program, state_path)
+        copyprotect.save_program(post, args.program)
     _emit(args, {"output": "".join(map(str, out)), "matched": accepted})
     return 0
 

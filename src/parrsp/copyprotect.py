@@ -8,7 +8,10 @@ publishes the classical offsets needed for evaluation.  Evaluation measures
 the projector P onto the prefix the input selects, in the input's bases: the
 effect of a prefix comparison into an ancilla that is measured and then
 uncomputed, with no ancilla simulated.  A mismatch rotates (1 - P) of the
-program back (output zeros); a match reads the program out.
+program back (output zeros); a match reads the program out.  A fresh
+program is the prover's ``qcore.BB84Product``, evaluated in closed form;
+only a mismatch whose verdict was uncertain makes it a dense
+``StateVector``, so that path takes lam <= MAX_DENSE_LAMBDA.
 
 The marked output length is lam: the offset arithmetic (the published
 correction is the XOR of a lam-bit half of the prepared string with the
@@ -20,13 +23,19 @@ success rates against the trivial baseline exactly where feasible.
 
 from __future__ import annotations
 
+import json
+import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import gf2, qcore
+from . import gf2, qcore, unclonable
 from .protocol import MultiRoundConfig, run_multi_round
+
+MAX_LAMBDA = gf2.MAX_WIDTH // 4  # the permutation acts on 4*lam bits
+MAX_DENSE_LAMBDA = qcore.MAX_QUBITS // 2  # a dense register of 2*lam qubits
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ def random_point_function(lam: int, rng: np.random.Generator) -> PointFunction:
 class ProtectedProgram:
     """Receiver-side quantum payload plus the published classical offsets."""
 
-    sigma: qcore.StateVector  # 2*lam qubits
+    sigma: qcore.BB84Product | qcore.StateVector  # 2*lam qubits
     r: tuple[int, ...]  # lam bits
     perm: gf2.PermKey  # over 4*lam bits
     t: tuple[int, ...]  # lam bits
@@ -73,7 +82,7 @@ class ProtectedProgram:
         return len(self.r)
 
     def __post_init__(self):
-        if self.sigma.qubit_count != 2 * self.lam:
+        if (len(self.sigma) if isinstance(self.sigma, qcore.BB84Product) else self.sigma.qubit_count) != 2 * self.lam:
             raise ValueError("program register must hold 2*lam qubits")
         if len(self.t) != self.lam or self.perm.width != 4 * self.lam:
             raise ValueError("inconsistent program lengths")
@@ -88,8 +97,8 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
     """
     if f.lam != lam:
         raise ValueError("function length does not match lam")
-    if lam > 4:
-        raise ValueError("protection capped at lam = 4 (permutation width 16)")
+    if not 1 <= lam <= MAX_LAMBDA:
+        raise ValueError(f"protection takes 1 <= lam <= {MAX_LAMBDA} (permutation width 4*lam), not {lam}")
     if config.n != 2 * lam:
         raise ValueError("protocol must prepare 2*lam states")
     perm = gf2.pip_sample(4 * lam, rng)
@@ -104,27 +113,37 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
     r = tuple(a ^ b for a, b in zip(v0, s0))
     u = tuple(a ^ b for a, b in zip(v1, s1))
     t = tuple(a ^ b for a, b in zip(u, f.m))
-    return ProtectedProgram(sigma=result.prover_final_state.to_state(), r=r, perm=perm, t=t), result
+    return ProtectedProgram(sigma=result.prover_final_state, r=r, perm=perm, t=t), result
 
 
-def _rotated(prog: ProtectedProgram, x: Sequence[int]):
-    """The program rotated into x's bases as a 2^lam x 2^lam matrix whose rows
-    are the prefix qubits, with the row the prefix must match, s_x and theta_x."""
+def _select(prog: ProtectedProgram, x: Sequence[int]):
+    """The prefix row x's check expects, s_x and theta_x."""
     lam = prog.lam
     x = tuple(x)
     if len(x) != 4 * lam:
         raise ValueError("evaluation input must have 4*lam bits")
     s_theta = gf2.pip_eval(prog.perm, x)
     s_x, theta_x = s_theta[: 2 * lam], s_theta[2 * lam :]
-    row = qcore.bits_to_index(tuple(a ^ b for a, b in zip(prog.r, s_x[:lam])))
-    rotated = qcore.hadamard_layer(prog.sigma, theta_x).amplitudes.reshape(2**lam, 2**lam)
-    return rotated, row, s_x, theta_x
+    return tuple(a ^ b for a, b in zip(prog.r, s_x[:lam])), s_x, theta_x
+
+
+def _match(sigma, row, theta_x):
+    """The match probability, and a dense register in x's bases as a 2^lam x 2^lam matrix whose
+    rows are the prefix qubits (None for a product)."""
+    if isinstance(sigma, qcore.BB84Product):
+        # per prefix qubit: 1/2 across bases, else whether its bit is the row's
+        return float(math.prod(0.5 if own != basis else bit == want
+                               for bit, own, want, basis in zip(sigma.bits, sigma.bases, row, theta_x))), None
+    side = 2 ** (len(theta_x) // 2)
+    rotated = qcore.hadamard_layer(sigma, theta_x).amplitudes.reshape(side, side)
+    matched = rotated[qcore.bits_to_index(row)]
+    return float(np.vdot(matched, matched).real), rotated
 
 
 def cp_accept_probability(prog: ProtectedProgram, x: Sequence[int]) -> float:
     """Exact probability that evaluation takes the matching branch."""
-    rotated, row, _, _ = _rotated(prog, x)
-    return float(np.vdot(rotated[row], rotated[row]).real)
+    row, _, theta_x = _select(prog, x)
+    return _match(prog.sigma, row, theta_x)[0]
 
 
 def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.Generator):
@@ -138,19 +157,26 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
     """
     if prog.lam != lam:
         raise ValueError("program does not match lam")
-    rotated, row, s_x, theta_x = _rotated(prog, x)
-    branches = np.zeros((2,) + rotated.shape, dtype=complex)  # (1 - P) psi and P psi
-    branches[1, row] = rotated[row]
-    branches[0] = rotated - branches[1]
-    branches = branches.reshape(2, -1)
-    norms = np.linalg.norm(branches, axis=1)
-    verdict = qcore.born_index(norms**2, rng)
-    state = qcore.StateVector(branches[verdict] / norms[verdict])
-    if not verdict:
-        return (0,) * lam, replace(prog, sigma=qcore.hadamard_layer(state, theta_x)), False
-    w, _ = qcore.measure_computational(state, range(2 * lam), rng)
+    row, s_x, theta_x = _select(prog, x)
+    sigma = prog.sigma
+    p, rotated = _match(sigma, row, theta_x)
+    verdict = qcore.born_index(np.array([1.0 - p, p]), rng)
+    if not verdict and p == 0.0:
+        return (0,) * lam, prog, False
+    if verdict and isinstance(sigma, qcore.BB84Product):
+        # the matched prefix is the row in x's bases; the suffix is as prepared
+        w = qcore.BB84Product(row + sigma.bits[lam:], theta_x[:lam] + sigma.bases[lam:]).measure(theta_x, rng.random())
+    else:
+        if rotated is None:  # a product is densified here, within lam <= MAX_DENSE_LAMBDA
+            rotated = _match(sigma.to_state(), row, theta_x)[1]
+        matches = np.arange(rotated.shape[0])[:, None] == qcore.bits_to_index(row)
+        branch = np.where(matches == bool(verdict), rotated, 0.0).ravel()  # P psi or (1 - P) psi
+        state = qcore.StateVector(branch / np.linalg.norm(branch))
+        if not verdict:
+            return (0,) * lam, replace(prog, sigma=qcore.hadamard_layer(state, theta_x)), False
+        w, _ = qcore.measure_computational(state, range(2 * lam), rng)
     out = tuple(a ^ b ^ c for a, b, c in zip(w[lam:], s_x[lam:], prog.t))
-    return out, replace(prog, sigma=qcore.BB84Product(w, theta_x).to_state()), True
+    return out, replace(prog, sigma=qcore.BB84Product(w, theta_x)), True
 
 
 # -- piracy experiment -------------------------------------------------------
@@ -251,21 +277,20 @@ class ZeroPirate(Pirate):
     answer_c = answer_b
 
 
-# the intermediate basis, rotated by pi/8; validated once and shared
-_BREIDBART_BASIS = qcore.LinearOperator(
-    np.array([[np.cos(np.pi / 8), np.sin(np.pi / 8)], [-np.sin(np.pi / 8), np.cos(np.pi / 8)]]), unitary=True
-)
-
-
 class BreidbartPirate(Pirate):
     """Measures every program qubit in the intermediate basis up front and
-    gives both parties the classical outcome plus the published offsets."""
+    gives both parties the classical outcome plus the published offsets;
+    a product program is read qubit by qubit, a dense one with the same draw."""
 
     def split(self, prog, rng):
-        rotated = prog.sigma
-        for i in range(rotated.qubit_count):
-            rotated = qcore.apply_operator(_BREIDBART_BASIS, rotated, [i])
-        w, _ = qcore.measure_computational(rotated, range(rotated.qubit_count), rng)
+        sigma = prog.sigma
+        if isinstance(sigma, qcore.BB84Product):
+            w = unclonable.breidbart_outcome(sigma, rng.random())
+        else:
+            rotate = qcore.LinearOperator(unclonable.BREIDBART_BASIS, unitary=True)
+            for i in range(sigma.qubit_count):
+                sigma = qcore.apply_operator(rotate, sigma, [i])
+            w, _ = qcore.measure_computational(sigma, range(sigma.qubit_count), rng)
         share = (w, prog.r, prog.perm, prog.t)
         return share, share
 
@@ -297,6 +322,8 @@ def piracy_experiment(
 
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if lam > MAX_DENSE_LAMBDA and isinstance(pirate, ForwardPirate) and not isinstance(challenge_dist, MarkedChallenge):
+        raise ValueError(f"forward piracy on unmarked challenges takes lam <= {MAX_DENSE_LAMBDA}, not {lam}")
     if prover_factory is None:
         prover_factory = HonestProver
     wins = 0
@@ -327,37 +354,50 @@ def piracy_experiment(
 # -- serialization (simulation artifact; the quantum part is non-physical) --
 
 
-def save_program(prog: ProtectedProgram, json_path, state_path) -> None:
-    import json
-
+def save_program(prog: ProtectedProgram, json_path, state_path=None) -> None:
+    """Write a product register as bits and bases, a dense one to the side file (by default the one
+    json_path names already); the JSON keeps that path relative to its own directory."""
+    base = os.path.dirname(os.path.abspath(json_path))
+    if state_path is None:
+        with open(json_path, "r", encoding="utf-8") as fh:
+            state_path = os.path.join(base, json.load(fh)["state_file"])
     meta = {
-        "note": "SIMULATION ARTIFACT: the statevector side file is not a physical object",
+        "note": "SIMULATION ARTIFACT: the quantum register recorded here is not a physical object",
         "lam": prog.lam,
         "r": "".join(map(str, prog.r)),
         "t": "".join(map(str, prog.t)),
         "perm_a": prog.perm.a.bits,
         "perm_b": prog.perm.b.bits,
         "perm_width": prog.perm.width,
-        "state_file": str(state_path),
+        "state_file": os.path.relpath(os.path.abspath(state_path), base),
     }
+    if isinstance(prog.sigma, qcore.BB84Product):
+        meta.update(form="product", bits="".join(map(str, prog.sigma.bits)), bases="".join(map(str, prog.sigma.bases)))
+    else:
+        meta["form"] = "dense"
+        prog.sigma.amplitudes.astype("<c16").tofile(state_path)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    prog.sigma.amplitudes.astype("<c16").tofile(state_path)
 
 
 def load_program(json_path) -> ProtectedProgram:
-    import json
-
+    """Read a program; a dense side file's size is checked against 16 * 4^lam bytes before it is read."""
     with open(json_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    amps = np.fromfile(meta["state_file"], dtype="<c16")
-    width = int(meta["perm_width"])
-    perm = gf2.PermKey(
-        gf2.FieldElement(int(meta["perm_a"]), width), gf2.FieldElement(int(meta["perm_b"]), width)
-    )
-    return ProtectedProgram(
-        sigma=qcore.StateVector(amps),
-        r=tuple(int(c) for c in meta["r"]),
-        perm=perm,
-        t=tuple(int(c) for c in meta["t"]),
-    )
+    try:
+        r, t = tuple(int(c) for c in meta["r"]), tuple(int(c) for c in meta["t"])
+        lam = len(r)
+        if not 1 <= lam <= MAX_LAMBDA:
+            raise ValueError(f"programs take 1 <= lam <= {MAX_LAMBDA}, not {lam}")
+        perm = gf2.PermKey(*(gf2.FieldElement(int(meta[k]), int(meta["perm_width"])) for k in ("perm_a", "perm_b")))
+        if meta.get("form") == "product":
+            sigma = qcore.BB84Product(tuple(int(c) for c in meta["bits"]), tuple(int(c) for c in meta["bases"]))
+        else:
+            path = os.path.join(os.path.dirname(os.path.abspath(json_path)), meta["state_file"])
+            size = os.path.getsize(path)
+            if lam > MAX_DENSE_LAMBDA or size != 16 * 4**lam:
+                raise ValueError(f"state file {path} holds {size} bytes, not a dense lam = {lam} register")
+            sigma = qcore.StateVector(np.fromfile(path, dtype="<c16"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed program file {json_path}: {exc!r}") from None
+    return ProtectedProgram(sigma=sigma, r=r, perm=perm, t=t)

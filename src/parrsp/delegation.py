@@ -56,6 +56,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        if not 1 <= self.qubit_count <= qcore.MAX_QUBITS:
+            raise ValueError(f"circuits take 1 <= n <= {qcore.MAX_QUBITS} qubits, not {self.qubit_count}")
         for g in self.gates:
             if any(not 0 <= t < self.qubit_count for t in g.targets):
                 raise ValueError(f"gate {g} targets out of range")
@@ -80,8 +82,13 @@ class Circuit:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Circuit":
-        gates = tuple(Gate(g["gate"], tuple(g["targets"])) for g in obj["gates"])
-        return cls(qubit_count=int(obj["n"]), gates=gates)
+        try:
+            n, specs = obj["n"], [(g["gate"], tuple(g["targets"])) for g in obj["gates"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed circuit: {exc!r}") from None
+        if any(type(v) is not int for v in (n, *(t for _, targets in specs for t in targets))):
+            raise ValueError("circuit width and gate targets must be integers")
+        return cls(qubit_count=n, gates=tuple(Gate(name, targets) for name, targets in specs))
 
     @classmethod
     def load(cls, path) -> "Circuit":

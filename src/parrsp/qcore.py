@@ -126,6 +126,10 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps)
 
+    def to_state(self) -> "StateVector":
+        """The dense register, as for a `BB84Product`: a state vector is its own."""
+        return self
+
     def to_density(self, weight: float = 1.0) -> "DensityMatrix":
         psi = self.amplitudes
         return DensityMatrix._unchecked(weight * np.outer(psi, psi.conj()), weight=weight)
@@ -166,7 +170,8 @@ class BB84Product:
         return BB84Product((self.bits[i],), (self.bases[i],)).to_state()
 
     def to_state(self) -> StateVector:
-        """Kronecker product of one column of H or I per qubit."""
+        """Kronecker product of one column of H or I per qubit; the qubit cap is checked first."""
+        _qubit_count_for(1 << len(self.bits))
         columns = ((_H if basis else _I2)[:, bit] for bit, basis in zip(self.bits, self.bases))
         return StateVector._unchecked(kron(np.ones(1, dtype=complex), *columns))
 

@@ -13,9 +13,9 @@ its keys are the full serialized inner key: 4*lambda bits, permuted by an
 affine map over GF(2^(4*lambda)).
 
 Product form.  An honest ciphertext is a product of BB84 qubits: qubit i
-is the padded bit m_i XOR r_i in basis theta_i.  ``ConjCiphertext`` is
-``qcore.BB84Product``, the type the honest prover's register has too, and
-WKD ciphertexts carry it.  Decoding it under a key is that type's
+is the padded bit m_i XOR r_i in basis theta_i: a ``qcore.BB84Product``,
+the type the honest prover's register has too, and WKD ciphertexts carry
+it.  Decoding it under a key is that type's
 ``measure``: qubit i gives its bit where the bases agree and a uniform bit
 where they differ, all read from one uniform draw.  The dense state is
 built only where something needs it: an attack's ``split``, a decoder
@@ -50,7 +50,21 @@ MAX_ATTACK_BITS = 6
 
 _COS = np.cos(np.pi / 8)
 _SIN = np.sin(np.pi / 8)
+# Breidbart's intermediate basis, rotated by pi/8: row w is <beta_w|, the bra of
+# outcome w.  A BB84 qubit reads its own bit with probability cos^2(pi/8) in either basis.
+BREIDBART_BASIS = np.array([[_COS, _SIN], [-_SIN, _COS]])
 BREIDBART_SINGLE_SUCCESS = float(_COS**2)
+
+
+def breidbart_outcome(qubits: qcore.BB84Product, u: float) -> tuple[int, ...]:
+    """Intermediate-basis outcome of every qubit from one uniform u in [0, 1): the product CDF
+    inverted, most significant qubit first, is the index ``rng.choice`` draws over the dense law."""
+    out = []
+    for bit in qubits.bits:
+        p0 = BREIDBART_SINGLE_SUCCESS if bit == 0 else 1.0 - BREIDBART_SINGLE_SUCCESS
+        out.append(int(u >= p0))
+        u = (u - p0) / (1.0 - p0) if out[-1] else u / p0
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,6 @@ class ConjKey:
         return len(self.r)
 
 
-# an honest ciphertext in product form: qubit i is |bits_i> in basis bases_i
-ConjCiphertext = qcore.BB84Product
-
-
 def _check_message(m: Sequence[int], bits: int) -> tuple[int, ...]:
     m = tuple(m)
     if len(m) != bits:
@@ -92,10 +102,10 @@ def cc_keygen(lam: int, rng: np.random.Generator) -> ConjKey:
     return ConjKey(r, theta)
 
 
-def cc_enc_product(key: ConjKey, m: Sequence[int]) -> ConjCiphertext:
+def cc_enc_product(key: ConjKey, m: Sequence[int]) -> qcore.BB84Product:
     """Product ciphertext: qubit i carries m_i XOR r_i in basis theta_i."""
     m = _check_message(m, key.bits)
-    return ConjCiphertext(tuple(mi ^ ri for mi, ri in zip(m, key.r)), key.theta)
+    return qcore.BB84Product(tuple(mi ^ ri for mi, ri in zip(m, key.r)), key.theta)
 
 
 def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
@@ -106,12 +116,12 @@ def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
 def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """Undo the basis layer, measure, strip the pad.
 
-    A ``ConjCiphertext`` decodes in closed form, with one uniform draw
+    A product ciphertext decodes in closed form, with one uniform draw
     when some basis differs from the key's (the draw the dense path's
     ``rng.choice`` makes); a dense state is rotated and measured.  Honest
     ciphertexts decode deterministically; anything else needs an rng.
     """
-    if isinstance(state, ConjCiphertext):
+    if isinstance(state, qcore.BB84Product):
         bits = state.measure(key.theta, rng.random() if rng is not None and state.bases != key.theta else None)
     else:
         rotated = qcore.hadamard_layer(state, key.theta)
@@ -230,8 +240,7 @@ class BreidbartAttack(CloningAttack):
     def __init__(self, lam: int):
         super().__init__(lam)
         # row w is <beta_w|, the intermediate-basis bra of outcome w (real)
-        single = np.array([[_COS, _SIN], [-_SIN, _COS]])
-        self._bras = qcore.kron(*[single] * lam)
+        self._bras = qcore.kron(*[BREIDBART_BASIS] * lam)
         dim = 2**lam
         self._markers = np.arange(dim) * (dim + 1)  # index of |w>|w> on BC
 
@@ -302,7 +311,7 @@ def cloning_experiment(
         strings = list(_all_bitstrings(lam))
         total = 0.0
         for theta in strings:
-            splits = [attack.split(ConjCiphertext(x, theta).to_density()) for x in strings]
+            splits = [attack.split(qcore.BB84Product(x, theta).to_density()) for x in strings]
             for r_index, r in enumerate(strings):
                 score = attack.scorer(ConjKey(r, theta))
                 for m_index, m in enumerate(strings):
@@ -371,7 +380,7 @@ def cloning_experiment_classical_client(
 
 @dataclass(frozen=True)
 class WkdCiphertext:
-    quantum: ConjCiphertext  # 2*lam qubits, product form
+    quantum: qcore.BB84Product  # 2*lam qubits
     r: tuple[int, ...]  # lam-bit prefix tag, in the clear
     perm: gf2.PermKey  # key-space permutation, in the clear
 

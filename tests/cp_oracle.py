@@ -38,7 +38,7 @@ def eval_prepared(prog, x: Sequence[int]):
     s_theta = gf2.pip_eval(prog.perm, x)
     s_x, theta_x = s_theta[: 2 * lam], s_theta[2 * lam :]
     pattern = tuple(a ^ b for a, b in zip(prog.r, s_x[:lam]))
-    state = qcore.tensor_product(prog.sigma, qcore.StateVector.basis_state([0]))
+    state = qcore.tensor_product(prog.sigma.to_state(), qcore.StateVector.basis_state([0]))
     state = qcore.hadamard_layer(state, theta_x + (0,))
     compare = prefix_compare_operator(lam, pattern)
     targets = list(range(lam)) + [2 * lam]

@@ -345,7 +345,7 @@ class TestOutOfRangeSizes:
         assert "trials" in err
 
 
-    @pytest.mark.parametrize("lam", ["5", "99"])
+    @pytest.mark.parametrize("lam", ["17", "99"])
     def test_cp_protect_exits_1_before_allocating(self, lam, tmp_path):
         code, _, err, elapsed, peak_kb = self.run_child(
             "cp", "protect", "--lambda", lam, "--out", str(tmp_path / "p.json"), "--state-out", str(tmp_path / "p.state")
@@ -357,13 +357,75 @@ class TestOutOfRangeSizes:
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 
-    @pytest.mark.parametrize("lam", ["5", "99"])
+    @pytest.mark.parametrize("lam", ["17", "99"])
     @pytest.mark.parametrize("pirate", ["forward", "breidbart"])
     def test_cp_pirate_exits_1_before_allocating(self, pirate, lam):
         code, _, err, elapsed, peak_kb = self.run_child("cp", "pirate", "--lambda", lam, "--pirate", pirate)
         assert code == 1
         assert "Traceback" not in err
         assert "lam" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("pirate", ["forward", "breidbart"])
+    def test_cp_pirate_at_the_lambda_cap(self, pirate):
+        code, out, err, elapsed, peak_kb = self.run_child(
+            "cp", "pirate", "--lambda", "16", "--pirate", pirate, "--trials", "200", "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["trials"] == 200
+        assert peak_kb < 100 * 1024
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("lam", ["11", "16"])
+    @pytest.mark.parametrize("challenge", ["unmarked", "uniform"])
+    def test_cp_forward_pirate_on_unmarked_challenges_above_dense_cap(self, challenge, lam):
+        # an unmarked challenge can entangle the forwarded program, which must then be dense
+        code, _, err, elapsed, peak_kb = self.run_child(
+            "cp", "pirate", "--lambda", lam, "--pirate", "forward", "--challenge", challenge
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert "lam <= 10" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("size", ["truncated", "oversized"])
+    def test_cp_eval_on_a_wrong_size_state_file_exits_1(self, capsys, tmp_path, size):
+        prog, state = tmp_path / "prog.json", tmp_path / "prog.state"
+        code, payload, _ = run_json(
+            capsys, "cp", "protect", "--lambda", "2", "--seed", "4", "--out", str(prog), "--state-out", str(state)
+        )
+        assert code == 0
+        meta = json.loads(prog.read_text())
+        meta["form"] = "dense"
+        prog.write_text(json.dumps(meta))
+        with open(state, "wb") as fh:  # a dense lambda = 2 register is 16 * 4^2 = 256 bytes
+            fh.truncate(200 if size == "truncated" else 1 << 31)  # sparse: 2 GiB that no reader may load
+        code, _, err, elapsed, peak_kb = self.run_child("cp", "eval", "--program", str(prog), "--x", payload["y"])
+        assert code == 1
+        assert "Traceback" not in err
+        assert "bytes" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "circuit, word",
+        [
+            ({"gates": []}, "'n'"),
+            ({"n": 1, "gates": [{"targets": [0]}]}, "'gate'"),
+            ({"n": 21, "gates": [{"gate": "H", "targets": [0]}]}, "n <= 20"),
+            ({"n": 30, "gates": [{"gate": "H", "targets": [0]}]}, "n <= 20"),
+        ],
+        ids=["no-n", "no-gate", "n-21", "n-30"],
+    )
+    def test_qced_demo_rejects_bad_circuit_files(self, tmp_path, circuit, word):
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(circuit))
+        code, _, err, elapsed, peak_kb = self.run_child("qced", "demo", "--circuit", str(path), "--input", "0")
+        assert code == 1
+        assert "Traceback" not in err
+        assert word in err
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 
@@ -446,6 +508,44 @@ class TestCpCommands:
         )
         assert code == 0
         assert evaluated["output"] == m and evaluated["matched"] is True
+
+    def test_protect_eval_at_the_lambda_cap(self, tmp_path):
+        prog = tmp_path / "prog.json"
+        code, out, err, _, _ = TestOutOfRangeSizes.run_child(
+            "cp", "protect", "--lambda", "16", "--seed", "5", "--out", str(prog),
+            "--state-out", str(tmp_path / "prog.state"), "--json",
+        )
+        assert code == 0, err
+        protected = json.loads(out)
+        assert json.loads(prog.read_text())["form"] == "product"
+        assert not (tmp_path / "prog.state").exists()  # a product register writes no amplitudes
+        code, out, err, _, _ = TestOutOfRangeSizes.run_child(
+            "cp", "eval", "--program", str(prog), "--x", protected["y"], "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"output": protected["m"], "matched": True}
+
+    def test_state_file_resolved_against_the_program(self, capsys, tmp_path, monkeypatch):
+        # protect from one directory, evaluate from the program's own directory
+        from dataclasses import replace
+
+        from parrsp import copyprotect
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, payload, _ = run_json(
+            capsys, "cp", "protect", "--lambda", "1", "--seed", "4", "--out", "sub/p.json", "--state-out", "sub/p.state"
+        )
+        assert code == 0
+        prog = copyprotect.load_program("sub/p.json")
+        copyprotect.save_program(replace(prog, sigma=prog.sigma.to_state()), "sub/p.json", "sub/p.state")
+        assert (tmp_path / "sub" / "p.state").stat().st_size == 16 * 4
+        monkeypatch.chdir(tmp_path / "sub")
+        for _ in range(2):  # the dense program, then the product its read-out leaves
+            code, evaluated, err = run_json(capsys, "cp", "eval", "--program", "p.json", "--x", payload["y"])
+            assert code == 0, err
+            assert evaluated == {"output": payload["m"], "matched": True}
+        assert json.loads((tmp_path / "sub" / "p.json").read_text())["state_file"] == "p.state"
 
     def test_pirate_experiment(self, capsys):
         code, payload, _ = run_json(

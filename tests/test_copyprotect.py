@@ -63,7 +63,7 @@ class TestPointFunction:
 class TestProtect:
     def test_lengths_smoke_lam1(self):
         f, prog = protect(1, seed=0)
-        assert prog.sigma.qubit_count == 2
+        assert prog.sigma.to_state().qubit_count == 2
         assert len(prog.r) == 1 and len(prog.t) == 1
         assert prog.perm.width == 4
 
@@ -297,6 +297,18 @@ class TestPiracy:
         assert len(seen) == 3
         assert all(c.strict_trailing and not c.reveal_theta for c in seen)
 
+    @pytest.mark.parametrize("lam", [11, 16])
+    @pytest.mark.parametrize("challenge", [cp.UnmarkedChallenge(), cp.UniformChallenge()])
+    def test_forward_pirate_dense_cap_checked_before_protecting(self, monkeypatch, challenge, lam):
+        def no_session(*args, **kwargs):
+            raise AssertionError("a protect session ran")
+
+        monkeypatch.setattr(cp, "run_multi_round", no_session)
+        with pytest.raises(ValueError, match="lam <= 10"):
+            cp.piracy_experiment(
+                lam, challenge, cp.ForwardPirate(), make_config(lam, 0), trials=5, rng=np.random.default_rng(24)
+            )
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trial_count_checked_before_work(self, trials):
         rng = np.random.default_rng(23)
@@ -320,7 +332,71 @@ class TestSerialization:
         loaded = cp.load_program(json_path)
         assert loaded.r == prog.r and loaded.t == prog.t
         assert loaded.perm == prog.perm
-        assert np.allclose(loaded.sigma.amplitudes, prog.sigma.amplitudes)
+        assert np.allclose(loaded.sigma.to_state().amplitudes, prog.sigma.to_state().amplitudes)
+
+    def test_product_program_writes_bits_and_bases_only(self, tmp_path):
+        import json
+
+        _, prog = protect(2, seed=8)
+        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
+        cp.save_program(prog, json_path, state_path)
+        meta = json.loads(json_path.read_text())
+        assert meta["form"] == "product" and meta["state_file"] == "prog.state"
+        assert meta["bits"] == "".join(map(str, prog.sigma.bits))
+        assert meta["bases"] == "".join(map(str, prog.sigma.bases))
+        assert not state_path.exists()
+        assert cp.load_program(json_path) == prog
+
+    def test_dense_program_roundtrip(self, tmp_path):
+        prog = random_program(2, np.random.default_rng(8))
+        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
+        cp.save_program(prog, json_path, state_path)
+        assert state_path.stat().st_size == 16 * 4**2
+        loaded = cp.load_program(json_path)
+        assert np.array_equal(loaded.sigma.amplitudes, prog.sigma.amplitudes)
+        # without a path, the side file the JSON names is written again
+        cp.save_program(replace(prog, sigma=qcore.StateVector.basis_state(5, 4)), json_path)
+        assert cp.load_program(json_path).sigma.amplitudes[5] == 1.0
+
+    @pytest.mark.parametrize("size", [16 * 4**2 - 16, 16 * 4**2 + 16])
+    def test_side_file_size_checked_before_reading(self, tmp_path, monkeypatch, size):
+        prog = random_program(2, np.random.default_rng(8))
+        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
+        cp.save_program(prog, json_path, state_path)
+        state_path.write_bytes(b"\0" * size)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("read a side file of the wrong size")
+
+        monkeypatch.setattr(np, "fromfile", unread)
+        with pytest.raises(ValueError, match="bytes"):
+            cp.load_program(json_path)
+
+    def test_load_program_checks_lambda(self, tmp_path):
+        import json
+
+        _, prog = protect(1, seed=6)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(prog, json_path, tmp_path / "prog.state")
+        meta = json.loads(json_path.read_text())
+        meta["r"] = "0" * 17
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="lam <= 16"):
+            cp.load_program(json_path)
+
+    @pytest.mark.parametrize(
+        "edit", [{"bits": None}, {"bases": 7}, {"perm_a": None}], ids=["no-bits", "int-bases", "no-perm"]
+    )
+    def test_load_program_rejects_malformed_fields(self, tmp_path, edit):
+        import json
+
+        _, prog = protect(1, seed=6)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(prog, json_path, tmp_path / "prog.state")
+        meta = {k: v for k, v in {**json.loads(json_path.read_text()), **edit}.items() if v is not None}
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="malformed program file"):
+            cp.load_program(json_path)
 
 
 def random_program(lam, rng):
@@ -374,12 +450,59 @@ class TestAncillaOracle:
                 out, post, accepted = cp.cp_eval(lam, prog, x, ours)
                 out_ref, post_ref, accepted_ref = oracle.cp_eval(prog, x, theirs)
                 assert (out, accepted) == (out_ref, accepted_ref)
-                assert np.max(np.abs(post.sigma.amplitudes - post_ref.sigma.amplitudes)) < 1e-12
+                assert np.max(np.abs(post.sigma.to_state().amplitudes - post_ref.sigma.to_state().amplitudes)) < 1e-12
                 assert (post.r, post.perm, post.t) == (prog.r, prog.perm, prog.t)
                 # the same draws: both generators end in the same state
                 assert ours.bit_generator.state == theirs.bit_generator.state
                 branches.add(accepted)
         assert branches == {False, True}
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_product_eval_matches_ancilla_circuit(self, lam):
+        """Closed-form evaluation of product programs, through all three of its branches."""
+        rng = np.random.default_rng(600 + lam)
+        kinds = set()
+        for seed in range(4):
+            f, prog = protect(lam, seed=700 + 10 * lam + seed)
+            inputs = [f.y] + [tuple(int(b) for b in rng.integers(0, 2, size=4 * lam)) for _ in range(12)]
+            for x in inputs:
+                assert isinstance(prog.sigma, qcore.BB84Product)
+                p = cp.cp_accept_probability(prog, x)
+                assert abs(p - oracle.accept_probability(prog, x)) < 1e-12
+                seed_x = int(rng.integers(0, 2**32))
+                ours, theirs = np.random.default_rng(seed_x), np.random.default_rng(seed_x)
+                out, post, accepted = cp.cp_eval(lam, prog, x, ours)
+                out_ref, post_ref, accepted_ref = oracle.cp_eval(prog, x, theirs)
+                assert (out, accepted) == (out_ref, accepted_ref)
+                assert np.max(np.abs(post.sigma.to_state().amplitudes - post_ref.sigma.to_state().amplitudes)) < 1e-12
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                kinds.add("match" if accepted else "certain mismatch" if p == 0.0 else "uncertain mismatch")
+                assert isinstance(post.sigma, qcore.StateVector) == (not accepted and p > 0.0)
+                if accepted:
+                    prog = post  # a read-out leaves a product program
+        assert kinds == {"match", "certain mismatch", "uncertain mismatch"}
+
+    def test_uncertain_mismatch_above_dense_cap_raises_before_allocating(self):
+        import tracemalloc
+
+        lam, rng = 11, np.random.default_rng(25)
+        prog = cp.ProtectedProgram(
+            sigma=qcore.BB84Product(*(tuple(int(b) for b in rng.integers(0, 2, size=2 * lam)) for _ in range(2))),
+            r=(0,) * lam, perm=gf2.pip_sample(4 * lam, rng), t=(0,) * lam,
+        )
+        x = next(x for x in (tuple(int(b) for b in rng.integers(0, 2, size=4 * lam)) for _ in range(10_000))
+                 if 0.0 < cp.cp_accept_probability(prog, x) < 1.0)
+        raised = 0
+        tracemalloc.start()
+        for seed in range(20):
+            try:
+                cp.cp_eval(lam, prog, x, np.random.default_rng(seed))
+            except ValueError as exc:
+                assert "qubit cap" in str(exc)
+                raised += 1
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert raised and peak < 1 << 20
 
     def test_ancilla_circuit_left_src(self):
         from pathlib import Path
@@ -411,6 +534,22 @@ class TestProgramValidation:
 
 
 class TestBreidbartSplit:
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_product_split_draws_the_dense_index(self, lam):
+        rng = np.random.default_rng(800 + lam)
+        for _ in range(200):
+            bits, bases = (tuple(int(b) for b in rng.integers(0, 2, size=2 * lam)) for _ in range(2))
+            product = cp.ProtectedProgram(
+                sigma=qcore.BB84Product(bits, bases), r=(0,) * lam, perm=gf2.pip_sample(4 * lam, rng), t=(0,) * lam
+            )
+            dense = replace(product, sigma=product.sigma.to_state())
+            seed = int(rng.integers(0, 2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            share, _ = cp.BreidbartPirate().split(product, ours)
+            share_ref, _ = cp.BreidbartPirate().split(dense, theirs)
+            assert share == share_ref
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_split_builds_no_operator(self, monkeypatch):
         _, prog = protect(2, seed=9)
 

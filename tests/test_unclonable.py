@@ -463,11 +463,11 @@ class TestProductForm:
         assert rng_product.bit_generator.state == rng_dense.bit_generator.state
 
     def test_mismatched_ciphertext_length_rejected(self):
-        ct = uc.ConjCiphertext((0, 1), (1, 1))
+        ct = qcore.BB84Product((0, 1), (1, 1))
         with pytest.raises(ValueError, match="does not match"):
             uc.cc_dec(uc.ConjKey((0,), (1,)), ct)
         with pytest.raises(ValueError, match="equal length"):
-            uc.ConjCiphertext((0, 1), (1,))
+            qcore.BB84Product((0, 1), (1,))
 
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
