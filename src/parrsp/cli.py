@@ -278,6 +278,7 @@ def cmd_unclonable_demo(args) -> int:
 
 
 def cmd_cp_protect(args) -> int:
+    copyprotect.check_lambda(args.lam)
     rng = np.random.default_rng(args.seed)
     lam = args.lam
     y = args.y if args.y is not None else tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
@@ -316,6 +317,7 @@ def cmd_cp_eval(args) -> int:
 
 
 def cmd_cp_pirate(args) -> int:
+    copyprotect.check_lambda(args.lam)
     pirates = {
         "forward": copyprotect.ForwardPirate(),
         "breidbart": copyprotect.BreidbartPirate(),

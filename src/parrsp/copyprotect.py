@@ -90,6 +90,11 @@ class ProtectedProgram:
             raise ValueError("program offsets r and t must be bit vectors")
 
 
+def check_lambda(lam: int) -> None:
+    if not 1 <= lam <= MAX_LAMBDA:
+        raise ValueError(f"protection takes 1 <= lam <= {MAX_LAMBDA} (permutation width 4*lam), not {lam}")
+
+
 def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng: np.random.Generator):
     """Interactive protection; returns (program, protocol result).
 
@@ -97,8 +102,7 @@ def cp_protect(lam: int, f: PointFunction, config: MultiRoundConfig, prover, rng
     """
     if f.lam != lam:
         raise ValueError("function length does not match lam")
-    if not 1 <= lam <= MAX_LAMBDA:
-        raise ValueError(f"protection takes 1 <= lam <= {MAX_LAMBDA} (permutation width 4*lam), not {lam}")
+    check_lambda(lam)
     if config.n != 2 * lam:
         raise ValueError("protocol must prepare 2*lam states")
     perm = gf2.pip_sample(4 * lam, rng)

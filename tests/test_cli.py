@@ -257,12 +257,29 @@ class TestOutOfRangeSizes:
         peak_kb = int(child.stderr.split("peak_kb")[1].split()[0])  # ru_maxrss is in KiB on Linux
         return child.returncode, child.stdout, child.stderr, elapsed, peak_kb
 
-    @pytest.mark.parametrize("lam", ["7", "13", "99"])
+    @pytest.mark.parametrize("lam", ["0", "13", "99"])
     def test_cloning_demo_exits_1_before_allocating(self, lam):
         code, _, err, elapsed, peak_kb = self.run_child("unclonable", "demo", "--lambda", lam)
         assert code == 1
         assert "Traceback" not in err
         assert "lambda" in err
+        assert peak_kb < 100 * 1024
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("attack", ["breidbart", "forward"])
+    def test_cloning_demo_at_the_lambda_cap(self, attack, mode):
+        closed_form = {"breidbart": ((2 + np.sqrt(2)) / 4) ** 12, "forward": 2.0**-12}[attack]
+        code, out, err, elapsed, peak_kb = self.run_child(
+            "unclonable", "demo", "--lambda", "12", "--attack", attack, "--mode", mode, "--json"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        if mode == "exact":
+            assert payload["instances"] == 8**12
+            assert abs(payload["success"] - closed_form) < 1e-12
+        else:
+            assert payload["instances"] == 2000
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 
@@ -345,7 +362,7 @@ class TestOutOfRangeSizes:
         assert "trials" in err
 
 
-    @pytest.mark.parametrize("lam", ["17", "99"])
+    @pytest.mark.parametrize("lam", ["0", "17", "99", "200"])
     def test_cp_protect_exits_1_before_allocating(self, lam, tmp_path):
         code, _, err, elapsed, peak_kb = self.run_child(
             "cp", "protect", "--lambda", lam, "--out", str(tmp_path / "p.json"), "--state-out", str(tmp_path / "p.state")
@@ -357,7 +374,7 @@ class TestOutOfRangeSizes:
         assert peak_kb < 100 * 1024
         assert elapsed < 2.0
 
-    @pytest.mark.parametrize("lam", ["17", "99"])
+    @pytest.mark.parametrize("lam", ["0", "17", "99", "200"])
     @pytest.mark.parametrize("pirate", ["forward", "breidbart"])
     def test_cp_pirate_exits_1_before_allocating(self, pirate, lam):
         code, _, err, elapsed, peak_kb = self.run_child("cp", "pirate", "--lambda", lam, "--pirate", pirate)

@@ -2,13 +2,14 @@
 
 import itertools
 
+import cloning_oracle
 import numpy as np
 import pytest
 
 from parrsp import gf2, qcore
 from parrsp import unclonable as uc
 from parrsp.protocol import MultiRoundConfig, run_multi_round
-from parrsp.provers import AlwaysWrongProver, HonestProver
+from parrsp.provers import AlwaysWrongProver, HonestProver, RandomAnswerProver
 
 COS2_PI8 = (2 + np.sqrt(2)) / 4  # single-qubit intermediate-basis success
 
@@ -23,18 +24,18 @@ class TestConjugateCoding:
         for m in _bitstrings(3):
             for _ in range(5):
                 key = uc.cc_keygen(3, rng)
-                assert uc.cc_dec(key, uc.cc_enc(key, m)) == m
+                assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
 
     def test_roundtrip_exhaustive_keys_lam2(self):
         for r in _bitstrings(2):
             for theta in _bitstrings(2):
                 key = uc.ConjKey(r, theta)
                 for m in _bitstrings(2):
-                    assert uc.cc_dec(key, uc.cc_enc(key, m)) == m
+                    assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
 
     def test_computational_mode_reduces_to_otp(self):
         key = uc.ConjKey((1, 0, 1), (0, 0, 0))
-        ct = uc.cc_enc(key, (0, 1, 1))
+        ct = cloning_oracle.cc_enc(key, (0, 1, 1))
         # ciphertext is the padded basis state, no superposition
         assert np.count_nonzero(np.abs(ct.amplitudes) > 1e-12) == 1
         assert uc.cc_dec(key, ct) == (0, 1, 1)
@@ -42,7 +43,7 @@ class TestConjugateCoding:
     def test_key_average_is_maximally_mixed(self):
         for lam in (1, 2, 3):
             for m in _bitstrings(lam)[:4]:
-                avg = uc.cc_average_ciphertext(lam, m)
+                avg = cloning_oracle.cc_average_ciphertext(lam, m)
                 delta = avg.entries - np.eye(2**lam) / 2**lam
                 assert qcore.trace_norm(delta) < 1e-12
 
@@ -57,7 +58,7 @@ class TestConjugateCoding:
     def test_length_validation(self):
         key = uc.ConjKey((0, 1), (1, 0))
         with pytest.raises(ValueError):
-            uc.cc_enc(key, (0,))
+            cloning_oracle.cc_enc(key, (0,))
         with pytest.raises(ValueError):
             uc.ConjKey((0, 1), (1,))
 
@@ -66,7 +67,7 @@ class TestConjugateCoding:
         for _ in range(40):
             key = uc.cc_keygen(4, rng)
             m = tuple(int(b) for b in rng.integers(0, 2, size=4))
-            assert uc.cc_dec(key, uc.cc_enc(key, m)) == m
+            assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
 
     def test_simulation_bound(self):
         with pytest.raises(ValueError, match="capped"):
@@ -85,7 +86,7 @@ class TestClassicalClient:
             joint = states[0]
             for s in states[1:]:
                 joint = qcore.tensor_product(joint, s)
-            assert qcore.fidelity(joint, uc.cc_enc(key, m)) > 1 - 1e-9
+            assert qcore.fidelity(joint, cloning_oracle.cc_enc(key, m)) > 1 - 1e-9
 
     def test_zero_message_key_equals_v(self):
         cfg = MultiRoundConfig(n=2, m_blocks=2, delta=0.05, width=4, seed=7, reveal_theta=False)
@@ -114,16 +115,20 @@ class TestClassicalClient:
 
 class TestAttacks:
     @pytest.mark.parametrize("make", [uc.breidbart_attack, uc.forward_attack])
-    @pytest.mark.parametrize("lam", [0, -1, uc.MAX_ATTACK_BITS + 1, 99])
+    @pytest.mark.parametrize("lam", [0, -1, uc.MAX_CC_BITS + 1, 99])
     def test_size_checked_before_allocation(self, make, lam):
         with pytest.raises(ValueError, match="lambda"):
             make(lam)
 
+    def test_experiment_checks_the_attack_width(self):
+        with pytest.raises(ValueError, match="splits 2 qubits"):
+            uc.cloning_experiment(uc.forward_attack(2), 3, mode="exact")
+
     def test_split_preserves_trace(self):
         rng = np.random.default_rng(4)
-        for attack in (uc.breidbart_attack(2), uc.forward_attack(2)):
+        for attack in (cloning_oracle.breidbart_attack(2), cloning_oracle.forward_attack(2)):
             key = uc.cc_keygen(2, rng)
-            ct = uc.cc_enc(key, (1, 0)).to_density()
+            ct = cloning_oracle.cc_enc(key, (1, 0)).to_density()
             out = attack.split(ct)
             assert abs(np.trace(out.entries).real - 1.0) < 1e-10
 
@@ -164,12 +169,12 @@ class TestAttacks:
 
     def test_breidbart_outcomes_unbiased_over_keys(self):
         lam = 1
-        attack = uc.breidbart_attack(lam)
+        attack = cloning_oracle.breidbart_attack(lam)
         acc = np.zeros(2)
         count = 0
         for r in _bitstrings(lam):
             for theta in _bitstrings(lam):
-                ct = uc.cc_enc(uc.ConjKey(r, theta), (0,)).to_density()
+                ct = cloning_oracle.cc_enc(uc.ConjKey(r, theta), (0,)).to_density()
                 rho = attack.split(ct).entries
                 acc[0] += rho[0, 0].real  # w = 0 component (|00><00| BC block)
                 acc[1] += rho[3, 3].real
@@ -214,6 +219,14 @@ class TestAttacks:
                 experiment()
         assert rng.bit_generator.state == state
 
+    def test_classical_client_rejects_an_accepted_session_without_register(self):
+        # a random answerer is accepted now and then, but holds no quantum register
+        cfg = MultiRoundConfig(n=1, m_blocks=1, delta=0.5, width=4, seed=0, reveal_theta=False)
+        with pytest.raises(ValueError, match="RandomAnswerProver exposes no register"):
+            uc.cloning_experiment_classical_client(
+                uc.breidbart_attack(1), 1, cfg, RandomAnswerProver, trials=50, rng=np.random.default_rng(1)
+            )
+
     def test_classical_client_cloning(self):
         cfg = MultiRoundConfig(n=1, m_blocks=2, delta=0.05, width=4, seed=0, reveal_theta=False)
         res = uc.cloning_experiment_classical_client(
@@ -234,7 +247,7 @@ def _quantum_wrong_key_oracle_lam1(outer_pairs):
             inner_wrong = uc._inner_key(gf2.pip_eval(perm, k_wrong))
             for r_bit in (0, 1):
                 for m_bit in (0, 1):
-                    ct = uc.cc_enc(inner, (r_bit, m_bit))
+                    ct = cloning_oracle.cc_enc(inner, (r_bit, m_bit))
                     rotated = qcore.hadamard_layer(ct, inner_wrong.theta)
                     branches = qcore.enumerate_measurement(rotated, range(2))
                     total += sum(
@@ -260,7 +273,7 @@ class TestWrongKeyDetection:
         ct = uc.wkd_enc(k, (1, 0), rng)
         ident = gf2.PermKey(gf2.FieldElement(1, 8), gf2.FieldElement(0, 8))
         inner = uc._inner_key(k)
-        plain = uc.cc_dec(inner, uc.cc_enc(inner, ct.r + (1, 0)))
+        plain = uc.cc_dec(inner, cloning_oracle.cc_enc(inner, ct.r + (1, 0)))
         assert plain == ct.r + (1, 0)
 
     def test_wrong_key_exact_enumeration_matches_formula(self):
@@ -294,7 +307,7 @@ class TestWrongKeyDetection:
             inner_wrong = uc._inner_key(gf2.pip_eval(perm, k_wrong))
             r = tuple(int(b) for b in rng.integers(0, 2, size=lam))
             m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
-            ct = uc.cc_enc(inner, r + m)
+            ct = cloning_oracle.cc_enc(inner, r + m)
             rotated = qcore.hadamard_layer(ct, inner_wrong.theta)
             quantum = sum(
                 p
@@ -438,7 +451,7 @@ class TestProductForm:
             m = tuple(int(b) for b in rng.integers(0, 2, size=3))
             ct = uc.cc_enc_product(key, m)
             assert ct.bases == key.theta
-            assert np.allclose(ct.to_density().entries, uc.cc_enc(key, m).to_density().entries, atol=1e-15)
+            assert np.allclose(ct.to_density().entries, cloning_oracle.cc_enc(key, m).to_density().entries, atol=1e-15)
 
     def test_decode_law_matches_dense_exhaustive_lam1(self):
         inner_keys = [uc.ConjKey(r, t) for r in _bitstrings(2) for t in _bitstrings(2)]
@@ -472,20 +485,20 @@ class TestProductForm:
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
     def test_exact_loop_equals_instance_sum(self, lam, make_attack):
+        # the product rule and the dense oracle score the same 8^lam instances
         attack = make_attack(lam)
-        total = sum(
-            uc._attack_success_given(attack, uc.ConjKey(r, theta), m)
-            for r in _bitstrings(lam)
-            for theta in _bitstrings(lam)
-            for m in _bitstrings(lam)
-        )
+        dense = cloning_oracle.dense_twin(attack)
+        instances = [(uc.ConjKey(r, theta), m) for r in _bitstrings(lam) for theta in _bitstrings(lam) for m in _bitstrings(lam)]
+        total = sum(attack.success(uc.cc_enc_product(key, m), key, m) for key, m in instances)
+        oracle_total = sum(cloning_oracle.attack_success_given(dense, key, m) for key, m in instances)
         res = uc.cloning_experiment(attack, lam, mode="exact")
         assert res["instances"] == 8**lam
         assert abs(res["success"] - total / 8**lam) < 1e-12
+        assert abs(res["success"] - oracle_total / 8**lam) < 1e-12
 
     def test_breidbart_split_checks_its_trace(self):
         # the split validates only the trace of its diagonal output
-        attack = uc.breidbart_attack(2)
+        attack = cloning_oracle.breidbart_attack(2)
         wrong_weight = qcore.DensityMatrix._unchecked(np.eye(4, dtype=complex) / 2, weight=1.0)
         with pytest.raises(ValueError, match="trace"):
             attack.split(wrong_weight)
@@ -495,7 +508,7 @@ class TestProductForm:
     def test_breidbart_split_matches_projector_oracle(self):
         # arbitrary dense states, not just honest ciphertexts
         lam = 2
-        attack = uc.breidbart_attack(lam)
+        attack = cloning_oracle.breidbart_attack(lam)
         cos, sin = np.cos(np.pi / 8), np.sin(np.pi / 8)
         single = [np.outer(b, b) for b in (np.array([cos, sin]), np.array([-sin, cos]))]
         rng = np.random.default_rng(13)
@@ -515,7 +528,7 @@ class TestProductForm:
         # the diagonal read is exact for any state on BC, not just split outputs:
         # the generic rule contracts the decoder projectors against every entry
         lam = 2
-        attack = uc.breidbart_attack(lam)
+        attack = cloning_oracle.breidbart_attack(lam)
         rng = np.random.default_rng(17)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = a @ a.conj().T
@@ -524,6 +537,65 @@ class TestProductForm:
             for theta in _bitstrings(lam):
                 key = uc.ConjKey(r, theta)
                 diagonal = attack.scorer(key)
-                generic = uc.CloningAttack.scorer(attack, key)
+                generic = cloning_oracle.CloningAttack.scorer(attack, key)
                 for m in _bitstrings(lam):
                     assert diagonal(m, rho_bc) == generic(m, rho_bc)
+
+
+def _random_bits(lam, rng):
+    return tuple(int(b) for b in rng.integers(0, 2, size=lam))
+
+
+class TestDenseOracle:
+    """The per-qubit law against the dense channel-and-POVM harness of cloning_oracle."""
+
+    @pytest.mark.parametrize("lam", [1, 2])
+    @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
+    def test_every_instance_matches(self, lam, make_attack):
+        # every register, including those whose bases differ from the key's
+        attack = make_attack(lam)
+        dense = cloning_oracle.dense_twin(attack)
+        keys = [uc.ConjKey(r, theta) for r in _bitstrings(lam) for theta in _bitstrings(lam)]
+        scorers = {key: dense.scorer(key) for key in keys}
+        for bits in _bitstrings(lam):
+            for bases in _bitstrings(lam):
+                register = qcore.BB84Product(bits, bases)
+                rho_bc = dense.split(register.to_density())
+                for key in keys:
+                    for m in _bitstrings(lam):
+                        assert abs(attack.success(register, key, m) - scorers[key](m, rho_bc)) < 1e-12
+
+    @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
+    def test_sampled_instances_match_lam3(self, make_attack):
+        attack = make_attack(3)
+        dense = cloning_oracle.dense_twin(attack)
+        rng = np.random.default_rng(19)
+        crossed = 0
+        for _ in range(200):
+            register = qcore.BB84Product(_random_bits(3, rng), _random_bits(3, rng))
+            key = uc.ConjKey(_random_bits(3, rng), _random_bits(3, rng))
+            m = _random_bits(3, rng)
+            crossed += register.bases != key.theta
+            expected = cloning_oracle.instance_success(dense, register, key, m)
+            assert abs(attack.success(register, key, m) - expected) < 1e-12
+        assert 0 < crossed < 200
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
+    def test_exact_average_matches(self, lam, make_attack):
+        attack = make_attack(lam)
+        expected = cloning_oracle.exact_success(cloning_oracle.dense_twin(attack), lam)
+        assert abs(uc.cloning_experiment(attack, lam, mode="exact")["success"] - expected) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1, 4])
+    @pytest.mark.parametrize("make_attack", [uc.breidbart_attack, uc.forward_attack])
+    def test_mc_matches_oracle_stream(self, lam, make_attack):
+        attack = make_attack(lam)
+        rng, rng_trials, rng_ref = (np.random.default_rng(23) for _ in range(3))
+        reference = cloning_oracle.mc_values(cloning_oracle.dense_twin(attack), lam, 30, rng_ref)
+        res = uc.cloning_experiment(attack, lam, mode="mc", trials=30, rng=rng)
+        # one-trial runs expose each trial's value
+        values = [uc.cloning_experiment(attack, lam, mode="mc", trials=1, rng=rng_trials)["success"] for _ in range(30)]
+        assert max(abs(a - b) for a, b in zip(values, reference)) < 1e-12
+        assert abs(res["success"] - np.mean(reference)) < 1e-12
+        assert rng.bit_generator.state == rng_trials.bit_generator.state == rng_ref.bit_generator.state
