@@ -144,14 +144,13 @@ def build_parser() -> _Parser:
     prot.add_argument("--lambda", dest="lam", type=int, default=2)
     prot.add_argument("--y", type=_bits, help="marked input (4*lambda bits; random if absent)")
     prot.add_argument("--m", type=_bits, help="marked output (lambda bits; random if absent)")
-    prot.add_argument("--out", required=True, help="program metadata JSON path")
-    prot.add_argument("--state-out", required=True, help="side file path for a dense register's amplitudes")
+    prot.add_argument("--out", required=True, help="program JSON path")
     prot.add_argument("--blocks", type=int, default=2, help="protocol block size M")
     prot.set_defaults(func=cmd_cp_protect)
 
     ev = cp_sub.add_parser("eval", help="evaluate a protected program")
     common(ev)
-    ev.add_argument("--program", required=True, help="program metadata JSON path")
+    ev.add_argument("--program", required=True, help="program JSON path")
     ev.add_argument("--x", type=_bits, required=True)
     ev.add_argument("--no-save", action="store_true", help="do not write back the post-eval state")
     ev.set_defaults(func=cmd_cp_eval)
@@ -292,7 +291,7 @@ def cmd_cp_protect(args) -> int:
     if prog is None:
         _emit(args, {"accepted": False, "abort_reason": result.abort_reason})
         return 2
-    copyprotect.save_program(prog, args.out, args.state_out)
+    copyprotect.save_program(prog, args.out)
     payload = {
         "accepted": True,
         "lambda": lam,

@@ -7,11 +7,12 @@ string to the receiver through the interactive preparation protocol, and
 publishes the classical offsets needed for evaluation.  Evaluation measures
 the projector P onto the prefix the input selects, in the input's bases: the
 effect of a prefix comparison into an ancilla that is measured and then
-uncomputed, with no ancilla simulated.  A mismatch rotates (1 - P) of the
-program back (output zeros); a match reads the program out.  A fresh
-program is the prover's ``qcore.BB84Product``, evaluated in closed form;
-only a mismatch whose verdict was uncertain makes it a dense
-``StateVector``, so that path takes lam <= MAX_DENSE_LAMBDA.
+uncomputed, with no ancilla simulated.  A mismatch keeps (1 - P) of the
+program (output zeros); a match reads the program out as one product.  A
+fresh program is the prover's ``qcore.BB84Product``.  P projects only the
+lam-qubit prefix, onto one BB84 product, so an uncertain mismatch leaves a
+``ProductSum``: real-weighted BB84 prefixes times the unchanged suffix, one
+term more per such mismatch and at most MAX_TERMS.  Nothing is ever dense.
 
 The marked output length is lam: the offset arithmetic (the published
 correction is the XOR of a lam-bit half of the prepared string with the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,7 +35,7 @@ from . import gf2, qcore, unclonable
 from .protocol import MultiRoundConfig, run_multi_round
 
 MAX_LAMBDA = gf2.MAX_WIDTH // 4  # the permutation acts on 4*lam bits
-MAX_DENSE_LAMBDA = qcore.MAX_QUBITS // 2  # a dense register of 2*lam qubits
+MAX_TERMS = 256  # prefix terms of one program, each added by an uncertain mismatch
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,33 @@ def random_point_function(lam: int, rng: np.random.Generator) -> PointFunction:
 
 
 @dataclass(frozen=True)
+class ProductSum:
+    """sum_j c_j prefix_j (x) suffix with real c_j: a product program after uncertain mismatches.
+    Its norm costs O(T^2 lam) for T terms, so `load_program` checks it and construction does not."""
+
+    terms: tuple[tuple[float, qcore.BB84Product], ...]
+    suffix: qcore.BB84Product
+
+    def __post_init__(self):
+        if not 1 <= len(self.terms) <= MAX_TERMS or any(len(p) != len(self.suffix) for _, p in self.terms):
+            raise ValueError(f"a program sum holds 1 to MAX_TERMS = {MAX_TERMS} prefix terms as long as its suffix")
+
+    def __len__(self) -> int:
+        return 2 * len(self.suffix)
+
+    def amplitude(self, bits, bases) -> float:
+        """<bits in bases|prefixes>, in O(T lam) and real: per qubit 1 or 0 in a shared basis,
+        (-1)^(x y)/sqrt(2) across bases."""
+        return sum(c * math.prod(float(x == y) if x_basis == y_basis else (-1) ** (x & y) * math.sqrt(0.5)
+                                 for x, x_basis, y, y_basis in zip(bits, bases, p.bits, p.bases))
+                   for c, p in self.terms)
+
+
+@dataclass(frozen=True)
 class ProtectedProgram:
     """Receiver-side quantum payload plus the published classical offsets."""
 
-    sigma: qcore.BB84Product | qcore.StateVector  # 2*lam qubits
+    sigma: qcore.BB84Product | ProductSum  # 2*lam qubits
     r: tuple[int, ...]  # lam bits
     perm: gf2.PermKey  # over 4*lam bits
     t: tuple[int, ...]  # lam bits
@@ -82,7 +105,7 @@ class ProtectedProgram:
         return len(self.r)
 
     def __post_init__(self):
-        if (len(self.sigma) if isinstance(self.sigma, qcore.BB84Product) else self.sigma.qubit_count) != 2 * self.lam:
+        if len(self.sigma) != 2 * self.lam:
             raise ValueError("program register must hold 2*lam qubits")
         if len(self.t) != self.lam or self.perm.width != 4 * self.lam:
             raise ValueError("inconsistent program lengths")
@@ -131,23 +154,19 @@ def _select(prog: ProtectedProgram, x: Sequence[int]):
     return tuple(a ^ b for a, b in zip(prog.r, s_x[:lam])), s_x, theta_x
 
 
-def _match(sigma, row, theta_x):
-    """The match probability, and a dense register in x's bases as a 2^lam x 2^lam matrix whose
-    rows are the prefix qubits (None for a product)."""
+def _match(sigma, row, bases) -> float:
+    """Probability that the prefix is the row in the given bases."""
     if isinstance(sigma, qcore.BB84Product):
-        # per prefix qubit: 1/2 across bases, else whether its bit is the row's
+        # exact per prefix qubit: 1/2 across bases, else whether its bit is the row's
         return float(math.prod(0.5 if own != basis else bit == want
-                               for bit, own, want, basis in zip(sigma.bits, sigma.bases, row, theta_x))), None
-    side = 2 ** (len(theta_x) // 2)
-    rotated = qcore.hadamard_layer(sigma, theta_x).amplitudes.reshape(side, side)
-    matched = rotated[qcore.bits_to_index(row)]
-    return float(np.vdot(matched, matched).real), rotated
+                               for bit, own, want, basis in zip(sigma.bits, sigma.bases, row, bases)))
+    return sigma.amplitude(row, bases) ** 2
 
 
 def cp_accept_probability(prog: ProtectedProgram, x: Sequence[int]) -> float:
     """Exact probability that evaluation takes the matching branch."""
     row, _, theta_x = _select(prog, x)
-    return _match(prog.sigma, row, theta_x)[0]
+    return _match(prog.sigma, row, theta_x[: prog.lam])
 
 
 def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.Generator):
@@ -162,23 +181,24 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
     if prog.lam != lam:
         raise ValueError("program does not match lam")
     row, s_x, theta_x = _select(prog, x)
-    sigma = prog.sigma
-    p, rotated = _match(sigma, row, theta_x)
+    sigma, bases = prog.sigma, theta_x[:lam]
+    p = _match(sigma, row, bases)
     verdict = qcore.born_index(np.array([1.0 - p, p]), rng)
-    if not verdict and p == 0.0:
-        return (0,) * lam, prog, False
-    if verdict and isinstance(sigma, qcore.BB84Product):
-        # the matched prefix is the row in x's bases; the suffix is as prepared
-        w = qcore.BB84Product(row + sigma.bits[lam:], theta_x[:lam] + sigma.bases[lam:]).measure(theta_x, rng.random())
-    else:
-        if rotated is None:  # a product is densified here, within lam <= MAX_DENSE_LAMBDA
-            rotated = _match(sigma.to_state(), row, theta_x)[1]
-        matches = np.arange(rotated.shape[0])[:, None] == qcore.bits_to_index(row)
-        branch = np.where(matches == bool(verdict), rotated, 0.0).ravel()  # P psi or (1 - P) psi
-        state = qcore.StateVector(branch / np.linalg.norm(branch))
-        if not verdict:
-            return (0,) * lam, replace(prog, sigma=qcore.hadamard_layer(state, theta_x)), False
-        w, _ = qcore.measure_computational(state, range(2 * lam), rng)
+    if not verdict:
+        if p == 0.0:
+            return (0,) * lam, prog, False
+        # (1 - P) sigma / sqrt(1 - p): every term rescaled, and the row in x's bases added with weight
+        # -<row|prefixes> / sqrt(1 - p), merged into the term that already holds that product
+        if isinstance(sigma, qcore.BB84Product):
+            sigma = ProductSum(((1.0, sigma[:lam]),), sigma[lam:])
+        scale, target = 1.0 / math.sqrt(1.0 - p), qcore.BB84Product(row, bases)
+        coeffs = {prefix: c * scale for c, prefix in sigma.terms}
+        coeffs[target] = coeffs.get(target, 0.0) - sigma.amplitude(row, bases) * scale
+        sigma = ProductSum(tuple((c, prefix) for prefix, c in coeffs.items()), sigma.suffix)
+        return (0,) * lam, replace(prog, sigma=sigma), False
+    # P sigma is the row in x's bases times the untouched suffix: one product to read out
+    tail = sigma if isinstance(sigma, qcore.BB84Product) else sigma.suffix
+    w = qcore.BB84Product(row + tail.bits[-lam:], bases + tail.bases[-lam:]).measure(theta_x, rng.random())
     out = tuple(a ^ b ^ c for a, b, c in zip(w[lam:], s_x[lam:], prog.t))
     return out, replace(prog, sigma=qcore.BB84Product(w, theta_x)), True
 
@@ -283,19 +303,13 @@ class ZeroPirate(Pirate):
 
 class BreidbartPirate(Pirate):
     """Measures every program qubit in the intermediate basis up front and
-    gives both parties the classical outcome plus the published offsets;
-    a product program is read qubit by qubit, a dense one with the same draw."""
+    gives both parties the classical outcome plus the published offsets.
+    Pirates receive fresh programs, which are products, read qubit by qubit."""
 
     def split(self, prog, rng):
-        sigma = prog.sigma
-        if isinstance(sigma, qcore.BB84Product):
-            w = unclonable.breidbart_outcome(sigma, rng.random())
-        else:
-            rotate = qcore.LinearOperator(unclonable.BREIDBART_BASIS, unitary=True)
-            for i in range(sigma.qubit_count):
-                sigma = qcore.apply_operator(rotate, sigma, [i])
-            w, _ = qcore.measure_computational(sigma, range(sigma.qubit_count), rng)
-        share = (w, prog.r, prog.perm, prog.t)
+        if not isinstance(prog.sigma, qcore.BB84Product):
+            raise ValueError("the Breidbart pirate splits fresh (product) programs only")
+        share = (unclonable.breidbart_outcome(prog.sigma, rng.random()), prog.r, prog.perm, prog.t)
         return share, share
 
     def _answer(self, share, x, rng):
@@ -326,8 +340,6 @@ def piracy_experiment(
 
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if lam > MAX_DENSE_LAMBDA and isinstance(pirate, ForwardPirate) and not isinstance(challenge_dist, MarkedChallenge):
-        raise ValueError(f"forward piracy on unmarked challenges takes lam <= {MAX_DENSE_LAMBDA}, not {lam}")
     if prover_factory is None:
         prover_factory = HonestProver
     wins = 0
@@ -358,13 +370,11 @@ def piracy_experiment(
 # -- serialization (simulation artifact; the quantum part is non-physical) --
 
 
-def save_program(prog: ProtectedProgram, json_path, state_path=None) -> None:
-    """Write a product register as bits and bases, a dense one to the side file (by default the one
-    json_path names already); the JSON keeps that path relative to its own directory."""
-    base = os.path.dirname(os.path.abspath(json_path))
-    if state_path is None:
-        with open(json_path, "r", encoding="utf-8") as fh:
-            state_path = os.path.join(base, json.load(fh)["state_file"])
+def save_program(prog: ProtectedProgram, json_path) -> None:
+    """Write a program as bit strings: the register of a product ("form": "product"), or the suffix
+    of a sum ("form": "sum") with its prefix terms as [coefficient, bits, bases] under "terms"."""
+    sigma = prog.sigma
+    tail = sigma if isinstance(sigma, qcore.BB84Product) else sigma.suffix
     meta = {
         "note": "SIMULATION ARTIFACT: the quantum register recorded here is not a physical object",
         "lam": prog.lam,
@@ -373,35 +383,48 @@ def save_program(prog: ProtectedProgram, json_path, state_path=None) -> None:
         "perm_a": prog.perm.a.bits,
         "perm_b": prog.perm.b.bits,
         "perm_width": prog.perm.width,
-        "state_file": os.path.relpath(os.path.abspath(state_path), base),
+        "form": "product" if tail is sigma else "sum",
+        "bits": "".join(map(str, tail.bits)),
+        "bases": "".join(map(str, tail.bases)),
     }
-    if isinstance(prog.sigma, qcore.BB84Product):
-        meta.update(form="product", bits="".join(map(str, prog.sigma.bits)), bases="".join(map(str, prog.sigma.bases)))
-    else:
-        meta["form"] = "dense"
-        prog.sigma.amplitudes.astype("<c16").tofile(state_path)
+    if tail is not sigma:
+        meta["terms"] = [[c, "".join(map(str, p.bits)), "".join(map(str, p.bases))] for c, p in sigma.terms]
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def _bits(value, name) -> tuple[int, ...]:
+    if not isinstance(value, str) or not set(value) <= {"0", "1"}:
+        raise ValueError(f"{name} must be a string of 0s and 1s: program fields hold bit vectors")
+    return tuple(map(int, value))
+
+
 def load_program(json_path) -> ProtectedProgram:
-    """Read a program; a dense side file's size is checked against 16 * 4^lam bytes before it is read."""
+    """Read a program and validate every field; a sum's norm, O(T^2 lam), is checked last."""
     with open(json_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     try:
-        r, t = tuple(int(c) for c in meta["r"]), tuple(int(c) for c in meta["t"])
-        lam = len(r)
-        if not 1 <= lam <= MAX_LAMBDA:
-            raise ValueError(f"programs take 1 <= lam <= {MAX_LAMBDA}, not {lam}")
-        perm = gf2.PermKey(*(gf2.FieldElement(int(meta[k]), int(meta["perm_width"])) for k in ("perm_a", "perm_b")))
-        if meta.get("form") == "product":
-            sigma = qcore.BB84Product(tuple(int(c) for c in meta["bits"]), tuple(int(c) for c in meta["bases"]))
-        else:
-            path = os.path.join(os.path.dirname(os.path.abspath(json_path)), meta["state_file"])
-            size = os.path.getsize(path)
-            if lam > MAX_DENSE_LAMBDA or size != 16 * 4**lam:
-                raise ValueError(f"state file {path} holds {size} bytes, not a dense lam = {lam} register")
-            sigma = qcore.StateVector(np.fromfile(path, dtype="<c16"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed program file {json_path}: {exc!r}") from None
-    return ProtectedProgram(sigma=sigma, r=r, perm=perm, t=t)
+        form = meta["form"]
+        if form not in ("product", "sum"):
+            raise ValueError(f"program form {form!r} is not supported; programs are stored as a product or a sum")
+        r, t = _bits(meta["r"], "r"), _bits(meta["t"], "t")
+        check_lambda(len(r))
+        a, b, width = (meta[k] for k in ("perm_a", "perm_b", "perm_width"))
+        if not type(a) is type(b) is type(width) is int:
+            raise ValueError("perm_a, perm_b and perm_width must be integers")
+        sigma = qcore.BB84Product(_bits(meta["bits"], "bits"), _bits(meta["bases"], "bases"))
+        if form == "sum":
+            if not all(type(c) in (int, float) and math.isfinite(c) for c, _, _ in meta["terms"]):
+                raise ValueError("term coefficients must be finite numbers")
+            sigma = ProductSum(tuple((float(c), qcore.BB84Product(_bits(x, "term bits"), _bits(z, "term bases")))
+                                     for c, x, z in meta["terms"]), sigma)
+        prog = ProtectedProgram(sigma, r, gf2.PermKey(gf2.FieldElement(a, width), gf2.FieldElement(b, width)), t)
+        if form == "sum":
+            norm = math.sqrt(abs(sum(c * sigma.amplitude(p.bits, p.bases) for c, p in sigma.terms)))
+            if abs(norm - 1.0) > qcore.NORM_ATOL:
+                raise ValueError(f"the program's terms have norm {norm!r}, not 1")
+    except KeyError as exc:
+        raise ValueError(f"malformed program file {json_path}: missing field {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed program file {json_path}: {exc}") from None
+    return prog

@@ -105,19 +105,10 @@ def cc_enc_product(key: ConjKey, m: Sequence[int]) -> qcore.BB84Product:
     return qcore.BB84Product(tuple(mi ^ ri for mi, ri in zip(m, key.r)), key.theta)
 
 
-def cc_dec(key: ConjKey, state, rng: np.random.Generator | None = None) -> tuple[int, ...]:
-    """Undo the basis layer, measure, strip the pad.
-
-    A product ciphertext decodes in closed form, with one uniform draw
-    when some basis differs from the key's (the draw the dense path's
-    ``rng.choice`` makes); a dense state is rotated and measured.  Honest
-    ciphertexts decode deterministically; anything else needs an rng.
-    """
-    if isinstance(state, qcore.BB84Product):
-        bits = state.measure(key.theta, rng.random() if rng is not None and state.bases != key.theta else None)
-    else:
-        rotated = qcore.hadamard_layer(state, key.theta)
-        bits = qcore.sample_outcome(rotated, range(key.bits), rng)
+def cc_dec(key: ConjKey, state: qcore.BB84Product, rng: np.random.Generator | None = None) -> tuple[int, ...]:
+    """Measure a product ciphertext in the key's bases and strip the pad.  Honest ciphertexts decode
+    deterministically; qubits outside the key's bases read uniform bits from one rng draw."""
+    bits = state.measure(key.theta, rng.random() if rng is not None and state.bases != key.theta else None)
     return tuple(b ^ r for b, r in zip(bits, key.r))
 
 

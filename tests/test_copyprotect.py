@@ -26,6 +26,27 @@ def protect(lam, seed, f=None, rng=None):
     return f, prog
 
 
+# edits that load_program must refuse, applied to a saved lam = 1 sum program (None deletes a field)
+MALFORMED_EDITS = {
+    "no-bits": {"bits": None},
+    "int-bases": {"bases": 7},
+    "no-perm": {"perm_a": None},
+    "float-perm": {"perm_a": 1.5},
+    "bool-perm": {"perm_a": True},
+    "string-width": {"perm_width": "4"},
+    "arabic-indic-digit": {"r": "\u0661"},
+    "arabic-indic-bits": {"bits": "\u0660"},
+    "nan-coefficient": {"terms": [[float("nan"), "0", "0"], [0.5, "1", "0"]]},
+    "infinite-coefficient": {"terms": [[float("inf"), "0", "0"]]},
+    "string-coefficient": {"terms": [["0.5", "0", "0"], [0.5, "1", "0"]]},
+    "term-bits": {"terms": [[1.0, "2", "0"]]},
+    "term-length": {"terms": [[1.0, "01", "00"]]},
+    "term-shape": {"terms": [[1.0, "0"]]},
+    "norm": {"terms": [[0.5, "0", "0"], [0.5, "1", "0"]]},
+    "no-terms": {"terms": []},
+}
+
+
 def exact_accept_oracle(f, prog, x):
     """Independent per-qubit product formula for the matching probability."""
     lam = prog.lam
@@ -210,7 +231,7 @@ class TestEval:
             out, post, accepted = cp.cp_eval(lam, prog, x, rng)
             if accepted:
                 continue
-            fid = qcore.fidelity(post.sigma, prog.sigma)
+            fid = qcore.fidelity(oracle.dense_state(post.sigma), prog.sigma)
             assert abs(fid - (1 - p)) < 1e-9
             checked += 1
             if checked >= 5:
@@ -299,15 +320,23 @@ class TestPiracy:
 
     @pytest.mark.parametrize("lam", [11, 16])
     @pytest.mark.parametrize("challenge", [cp.UnmarkedChallenge(), cp.UniformChallenge()])
-    def test_forward_pirate_dense_cap_checked_before_protecting(self, monkeypatch, challenge, lam):
-        def no_session(*args, **kwargs):
-            raise AssertionError("a protect session ran")
+    def test_forward_pirate_dense_cap_checked_before_protecting(self, challenge, lam):
+        # a forwarded program stays a product or a short sum, so lam 11 and 16 run, where a
+        # dense register of 2*lam qubits would exceed the 20-qubit cap
+        import time
+        import tracemalloc
 
-        monkeypatch.setattr(cp, "run_multi_round", no_session)
-        with pytest.raises(ValueError, match="lam <= 10"):
-            cp.piracy_experiment(
+        start = time.monotonic()
+        tracemalloc.start()
+        try:
+            res = cp.piracy_experiment(
                 lam, challenge, cp.ForwardPirate(), make_config(lam, 0), trials=5, rng=np.random.default_rng(24)
             )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["trials"] == 5 and res["aborts"] == 0
+        assert peak < 20 << 20 and time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trial_count_checked_before_work(self, trials):
@@ -327,8 +356,7 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         f, prog = protect(2, seed=8)
         json_path = tmp_path / "prog.json"
-        state_path = tmp_path / "prog.state"
-        cp.save_program(prog, json_path, state_path)
+        cp.save_program(prog, json_path)
         loaded = cp.load_program(json_path)
         assert loaded.r == prog.r and loaded.t == prog.t
         assert loaded.perm == prog.perm
@@ -338,38 +366,39 @@ class TestSerialization:
         import json
 
         _, prog = protect(2, seed=8)
-        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
-        cp.save_program(prog, json_path, state_path)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(prog, json_path)
         meta = json.loads(json_path.read_text())
-        assert meta["form"] == "product" and meta["state_file"] == "prog.state"
+        assert meta["form"] == "product" and "state_file" not in meta and "terms" not in meta
         assert meta["bits"] == "".join(map(str, prog.sigma.bits))
         assert meta["bases"] == "".join(map(str, prog.sigma.bases))
-        assert not state_path.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["prog.json"]
         assert cp.load_program(json_path) == prog
 
-    def test_dense_program_roundtrip(self, tmp_path):
-        prog = random_program(2, np.random.default_rng(8))
-        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
-        cp.save_program(prog, json_path, state_path)
-        assert state_path.stat().st_size == 16 * 4**2
-        loaded = cp.load_program(json_path)
-        assert np.array_equal(loaded.sigma.amplitudes, prog.sigma.amplitudes)
-        # without a path, the side file the JSON names is written again
-        cp.save_program(replace(prog, sigma=qcore.StateVector.basis_state(5, 4)), json_path)
-        assert cp.load_program(json_path).sigma.amplitudes[5] == 1.0
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_sum_program_roundtrip(self, tmp_path, lam):
+        import json
 
-    @pytest.mark.parametrize("size", [16 * 4**2 - 16, 16 * 4**2 + 16])
-    def test_side_file_size_checked_before_reading(self, tmp_path, monkeypatch, size):
-        prog = random_program(2, np.random.default_rng(8))
-        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
-        cp.save_program(prog, json_path, state_path)
-        state_path.write_bytes(b"\0" * size)
+        for prog in sum_programs(lam, np.random.default_rng(30 + lam))[1:]:
+            json_path = tmp_path / "prog.json"
+            cp.save_program(prog, json_path)
+            meta = json.loads(json_path.read_text())
+            assert meta["form"] == "sum" and len(meta["terms"]) == len(prog.sigma.terms)
+            assert meta["bits"] == "".join(map(str, prog.sigma.suffix.bits))
+            assert cp.load_program(json_path) == prog  # coefficients round-trip exactly
+            assert [path.name for path in tmp_path.iterdir()] == ["prog.json"]
 
-        def unread(*args, **kwargs):
-            raise AssertionError("read a side file of the wrong size")
+    def test_dense_program_file_refused(self, tmp_path):
+        import json
 
-        monkeypatch.setattr(np, "fromfile", unread)
-        with pytest.raises(ValueError, match="bytes"):
+        _, prog = protect(1, seed=6)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(prog, json_path)
+        meta = json.loads(json_path.read_text())
+        for key in ("bits", "bases"):
+            del meta[key]
+        json_path.write_text(json.dumps({**meta, "form": "dense", "state_file": "prog.state"}))
+        with pytest.raises(ValueError, match="form 'dense'"):
             cp.load_program(json_path)
 
     def test_load_program_checks_lambda(self, tmp_path):
@@ -377,54 +406,80 @@ class TestSerialization:
 
         _, prog = protect(1, seed=6)
         json_path = tmp_path / "prog.json"
-        cp.save_program(prog, json_path, tmp_path / "prog.state")
+        cp.save_program(prog, json_path)
         meta = json.loads(json_path.read_text())
         meta["r"] = "0" * 17
         json_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="lam <= 16"):
             cp.load_program(json_path)
 
-    @pytest.mark.parametrize(
-        "edit", [{"bits": None}, {"bases": 7}, {"perm_a": None}], ids=["no-bits", "int-bases", "no-perm"]
-    )
+    @pytest.mark.parametrize("edit", list(MALFORMED_EDITS.values()), ids=list(MALFORMED_EDITS))
     def test_load_program_rejects_malformed_fields(self, tmp_path, edit):
         import json
 
         _, prog = protect(1, seed=6)
+        prog = sum_programs(1, np.random.default_rng(6), prog)[1]
         json_path = tmp_path / "prog.json"
-        cp.save_program(prog, json_path, tmp_path / "prog.state")
+        cp.save_program(prog, json_path)
         meta = {k: v for k, v in {**json.loads(json_path.read_text()), **edit}.items() if v is not None}
         json_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="malformed program file"):
             cp.load_program(json_path)
 
+    def test_term_cap_checked_on_load_before_the_norm(self, tmp_path, monkeypatch):
+        import json
 
-def random_program(lam, rng):
-    """A program with a Haar-random register and random offsets and key."""
-    amps = rng.normal(size=4**lam) + 1j * rng.normal(size=4**lam)
-    return cp.ProtectedProgram(
-        sigma=qcore.StateVector(amps / np.linalg.norm(amps)),
-        r=tuple(int(b) for b in rng.integers(0, 2, size=lam)),
-        perm=gf2.pip_sample(4 * lam, rng),
-        t=tuple(int(b) for b in rng.integers(0, 2, size=lam)),
-    )
+        lam = 9  # 2^9 rows: room for MAX_TERMS + 1 distinct prefixes
+        x = (0,) * (4 * lam)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(capped_program(lam, x), json_path)
+        meta = json.loads(json_path.read_text())
+        _, bits, bases = meta["terms"][-1]
+        meta["terms"].append([0.0, bits[:-1] + str(1 - int(bits[-1])), bases])  # a row no term holds yet
+        json_path.write_text(json.dumps(meta))
+
+        def no_norm(*args):
+            raise AssertionError("the norm of an over-cap sum was computed")
+
+        monkeypatch.setattr(cp.ProductSum, "amplitude", no_norm)
+        with pytest.raises(ValueError, match=f"MAX_TERMS = {cp.MAX_TERMS}"):
+            cp.load_program(json_path)
+
+
+def sum_programs(lam, rng, prog=None):
+    """A fresh program and the programs one, two and three uncertain mismatches deep, built by cp_eval."""
+    programs = [prog if prog is not None else protect(lam, seed=int(rng.integers(1000)))[1]]
+    while len(programs) < 4:
+        x = tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
+        if 0.05 < cp.cp_accept_probability(programs[-1], x) < 0.95:
+            _, post, accepted = cp.cp_eval(lam, programs[-1], x, rng)
+            if not accepted:
+                programs.append(post)
+    return programs
 
 
 def oracle_programs(lam, rng):
-    """Random, freshly protected and entangled post-mismatch programs."""
-    programs = [random_program(lam, rng) for _ in range(3)]
+    """Freshly protected programs and the sums their uncertain mismatches leave."""
+    programs = []
     for seed in range(2):
-        f, prog = protect(lam, seed=300 + 10 * lam + seed)
-        programs.append(prog)
-        # a mismatch whose verdict was uncertain leaves the register entangled
-        for _ in range(200):
-            x = tuple(int(b) for b in rng.integers(0, 2, size=4 * lam))
-            if 0.05 < oracle.accept_probability(prog, x) < 0.95:
-                _, post, accepted = oracle.cp_eval(prog, x, rng)
-                if not accepted:
-                    programs.append(post)
-                    break
+        programs += sum_programs(lam, rng, protect(lam, seed=300 + 10 * lam + seed)[1])
+    assert all(isinstance(prog.sigma, cp.ProductSum) for prog in programs[1:4] + programs[5:])
     return programs
+
+
+def capped_program(lam, x):
+    """A program of MAX_TERMS prefix terms on which x's check is uncertain (p = 1/2) and whose
+    mismatch adds a term: x's row with its first basis flipped (weight 1), then further rows in
+    those bases (weight 0)."""
+    import itertools
+
+    perm = gf2.pip_sample(4 * lam, np.random.default_rng(26))
+    s_theta = gf2.pip_eval(perm, x)
+    row, bases = s_theta[:lam], (1 - s_theta[2 * lam],) + s_theta[2 * lam + 1 : 3 * lam]
+    rows = itertools.chain([row], (bits for bits in itertools.product((0, 1), repeat=lam) if bits != row))
+    terms = tuple((float(i == 0), qcore.BB84Product(next(rows), bases)) for i in range(cp.MAX_TERMS))
+    zeros = (0,) * lam
+    return cp.ProtectedProgram(cp.ProductSum(terms, qcore.BB84Product(zeros, zeros)), zeros, perm, zeros)
 
 
 class TestAncillaOracle:
@@ -450,7 +505,7 @@ class TestAncillaOracle:
                 out, post, accepted = cp.cp_eval(lam, prog, x, ours)
                 out_ref, post_ref, accepted_ref = oracle.cp_eval(prog, x, theirs)
                 assert (out, accepted) == (out_ref, accepted_ref)
-                assert np.max(np.abs(post.sigma.to_state().amplitudes - post_ref.sigma.to_state().amplitudes)) < 1e-12
+                assert np.max(np.abs(oracle.dense_state(post.sigma).amplitudes - post_ref.sigma.amplitudes)) < 1e-12
                 assert (post.r, post.perm, post.t) == (prog.r, prog.perm, prog.t)
                 # the same draws: both generators end in the same state
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -474,15 +529,16 @@ class TestAncillaOracle:
                 out, post, accepted = cp.cp_eval(lam, prog, x, ours)
                 out_ref, post_ref, accepted_ref = oracle.cp_eval(prog, x, theirs)
                 assert (out, accepted) == (out_ref, accepted_ref)
-                assert np.max(np.abs(post.sigma.to_state().amplitudes - post_ref.sigma.to_state().amplitudes)) < 1e-12
+                assert np.max(np.abs(oracle.dense_state(post.sigma).amplitudes - post_ref.sigma.amplitudes)) < 1e-12
                 assert ours.bit_generator.state == theirs.bit_generator.state
                 kinds.add("match" if accepted else "certain mismatch" if p == 0.0 else "uncertain mismatch")
-                assert isinstance(post.sigma, qcore.StateVector) == (not accepted and p > 0.0)
+                assert isinstance(post.sigma, cp.ProductSum) == (not accepted and p > 0.0)
                 if accepted:
                     prog = post  # a read-out leaves a product program
         assert kinds == {"match", "certain mismatch", "uncertain mismatch"}
 
-    def test_uncertain_mismatch_above_dense_cap_raises_before_allocating(self):
+    def test_uncertain_mismatch_above_former_dense_cap_stays_small(self):
+        # at lam = 11 a dense register of 2*lam qubits would exceed the 20-qubit cap
         import tracemalloc
 
         lam, rng = 11, np.random.default_rng(25)
@@ -492,17 +548,17 @@ class TestAncillaOracle:
         )
         x = next(x for x in (tuple(int(b) for b in rng.integers(0, 2, size=4 * lam)) for _ in range(10_000))
                  if 0.0 < cp.cp_accept_probability(prog, x) < 1.0)
-        raised = 0
+        posts = []
         tracemalloc.start()
-        for seed in range(20):
-            try:
-                cp.cp_eval(lam, prog, x, np.random.default_rng(seed))
-            except ValueError as exc:
-                assert "qubit cap" in str(exc)
-                raised += 1
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert raised and peak < 1 << 20
+        try:
+            for seed in range(20):
+                posts.append(cp.cp_eval(lam, prog, x, np.random.default_rng(seed)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mismatches = [post for _, post, accepted in posts if not accepted]
+        assert all(len(post.sigma) == 2 * lam and len(post.sigma.terms) == 2 for post in mismatches)
+        assert mismatches and peak < 1 << 20
 
     def test_ancilla_circuit_left_src(self):
         from pathlib import Path
@@ -524,8 +580,8 @@ class TestProgramValidation:
         import json
 
         _, prog = protect(1, seed=6)
-        json_path, state_path = tmp_path / "prog.json", tmp_path / "prog.state"
-        cp.save_program(prog, json_path, state_path)
+        json_path = tmp_path / "prog.json"
+        cp.save_program(prog, json_path)
         meta = json.loads(json_path.read_text())
         meta["t"] = "2"
         json_path.write_text(json.dumps(meta))
@@ -542,11 +598,10 @@ class TestBreidbartSplit:
             product = cp.ProtectedProgram(
                 sigma=qcore.BB84Product(bits, bases), r=(0,) * lam, perm=gf2.pip_sample(4 * lam, rng), t=(0,) * lam
             )
-            dense = replace(product, sigma=product.sigma.to_state())
             seed = int(rng.integers(0, 2**32))
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             share, _ = cp.BreidbartPirate().split(product, ours)
-            share_ref, _ = cp.BreidbartPirate().split(dense, theirs)
+            share_ref, _ = oracle.breidbart_split(product, theirs)
             assert share == share_ref
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -559,3 +614,55 @@ class TestBreidbartSplit:
         monkeypatch.setattr(qcore.LinearOperator, "__post_init__", built)
         share_b, share_c = cp.BreidbartPirate().split(prog, np.random.default_rng(0))
         assert share_b is share_c and len(share_b[0]) == 4
+
+    def test_split_takes_fresh_programs_only(self):
+        rng = np.random.default_rng(28)
+        with pytest.raises(ValueError, match="fresh"):
+            cp.BreidbartPirate().split(sum_programs(1, rng)[1], rng)
+
+
+class TestSumForm:
+    def test_sum_holds_two_lam_qubits(self):
+        for prog in sum_programs(2, np.random.default_rng(29))[1:]:
+            assert len(prog.sigma) == 4 and oracle.dense_state(prog.sigma).qubit_count == 4
+        with pytest.raises(ValueError, match="as long as its suffix"):
+            cp.ProductSum(((1.0, qcore.BB84Product((0,), (0,))),), qcore.BB84Product((0, 0), (0, 0)))
+
+    def test_term_cap_checked_before_a_term_is_added(self):
+        import tracemalloc
+
+        lam = 9  # 2^9 rows: room for MAX_TERMS distinct prefixes
+        x = tuple(int(b) for b in np.random.default_rng(27).integers(0, 2, size=4 * lam))
+        prog = capped_program(lam, x)
+        assert len(prog.sigma.terms) == cp.MAX_TERMS and abs(cp.cp_accept_probability(prog, x) - 0.5) < 1e-12
+        branches = set()
+        tracemalloc.start()
+        try:
+            for seed in range(20):
+                try:
+                    branches.add(cp.cp_eval(lam, prog, x, np.random.default_rng(seed))[2])
+                except ValueError as exc:
+                    assert f"MAX_TERMS = {cp.MAX_TERMS}" in str(exc)
+                    branches.add("refused")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert branches == {True, "refused"} and peak < 1 << 20
+
+    def test_repeated_mismatch_merges_into_the_row_term(self):
+        # after a mismatch on x the program is orthogonal to x's row up to float dust; a mismatch
+        # on that dust rescales the terms and merges into the row's term instead of adding one
+        lam, rng, dusty = 2, np.random.default_rng(31), 0
+        for prog in sum_programs(lam, rng)[1:]:
+            x = next(x for x in (tuple(int(b) for b in rng.integers(0, 2, size=4 * lam)) for _ in range(1000))
+                     if 0.05 < cp.cp_accept_probability(prog, x) < 0.95)
+            post = next(post for _, post, accepted in (cp.cp_eval(lam, prog, x, rng) for _ in range(100))
+                        if not accepted)
+            size = len(post.sigma.terms)
+            for _ in range(20):
+                p = cp.cp_accept_probability(post, x)
+                assert p < 1e-20
+                dusty += p != 0.0
+                post = cp.cp_eval(lam, post, x, rng)[1]
+                assert len(post.sigma.terms) == size
+        assert dusty

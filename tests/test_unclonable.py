@@ -24,20 +24,20 @@ class TestConjugateCoding:
         for m in _bitstrings(3):
             for _ in range(5):
                 key = uc.cc_keygen(3, rng)
-                assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
+                assert uc.cc_dec(key, uc.cc_enc_product(key, m)) == m
 
     def test_roundtrip_exhaustive_keys_lam2(self):
         for r in _bitstrings(2):
             for theta in _bitstrings(2):
                 key = uc.ConjKey(r, theta)
                 for m in _bitstrings(2):
-                    assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
+                    assert uc.cc_dec(key, uc.cc_enc_product(key, m)) == m
 
     def test_computational_mode_reduces_to_otp(self):
         key = uc.ConjKey((1, 0, 1), (0, 0, 0))
-        ct = cloning_oracle.cc_enc(key, (0, 1, 1))
+        ct = uc.cc_enc_product(key, (0, 1, 1))
         # ciphertext is the padded basis state, no superposition
-        assert np.count_nonzero(np.abs(ct.amplitudes) > 1e-12) == 1
+        assert np.count_nonzero(np.abs(ct.to_state().amplitudes) > 1e-12) == 1
         assert uc.cc_dec(key, ct) == (0, 1, 1)
 
     def test_key_average_is_maximally_mixed(self):
@@ -49,8 +49,8 @@ class TestConjugateCoding:
 
     def test_nondeterministic_decode_needs_rng(self):
         key = uc.ConjKey((0,), (0,))
-        plus = qcore.hadamard_layer(qcore.StateVector.basis_state([0]), (1,))
-        with pytest.raises(ValueError, match="rng"):
+        plus = qcore.BB84Product((0,), (1,))
+        with pytest.raises(ValueError, match="uniform draw"):
             uc.cc_dec(key, plus)
         out = uc.cc_dec(key, plus, np.random.default_rng(0))
         assert out in {(0,), (1,)}
@@ -67,7 +67,7 @@ class TestConjugateCoding:
         for _ in range(40):
             key = uc.cc_keygen(4, rng)
             m = tuple(int(b) for b in rng.integers(0, 2, size=4))
-            assert uc.cc_dec(key, cloning_oracle.cc_enc(key, m)) == m
+            assert uc.cc_dec(key, uc.cc_enc_product(key, m)) == m
 
     def test_simulation_bound(self):
         with pytest.raises(ValueError, match="capped"):
@@ -273,7 +273,7 @@ class TestWrongKeyDetection:
         ct = uc.wkd_enc(k, (1, 0), rng)
         ident = gf2.PermKey(gf2.FieldElement(1, 8), gf2.FieldElement(0, 8))
         inner = uc._inner_key(k)
-        plain = uc.cc_dec(inner, cloning_oracle.cc_enc(inner, ct.r + (1, 0)))
+        plain = uc.cc_dec(inner, uc.cc_enc_product(inner, ct.r + (1, 0)))
         assert plain == ct.r + (1, 0)
 
     def test_wrong_key_exact_enumeration_matches_formula(self):
