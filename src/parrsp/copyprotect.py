@@ -36,6 +36,7 @@ from .protocol import MultiRoundConfig, run_multi_round
 
 MAX_LAMBDA = gf2.MAX_WIDTH // 4  # the permutation acts on 4*lam bits
 MAX_TERMS = 256  # prefix terms of one program, each added by an uncertain mismatch
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,20 @@ class ProductSum:
     def amplitude(self, bits, bases) -> float:
         """<bits in bases|prefixes>, in O(T lam) and real: per qubit 1 or 0 in a shared basis,
         (-1)^(x y)/sqrt(2) across bases."""
-        return sum(c * math.prod(float(x == y) if x_basis == y_basis else (-1) ** (x & y) * math.sqrt(0.5)
-                                 for x, x_basis, y, y_basis in zip(bits, bases, p.bits, p.bases))
-                   for c, p in self.terms)
+        return sum(c * _row_overlap(bits, bases, p) for c, p in self.terms)
+
+
+def _row_overlap(bits, bases, prefix: qcore.BB84Product) -> float:
+    """<bits in bases|prefix>, the qubits' factors multiplied in order, and +0.0 at the first zero.
+
+    A full product could be -0.0 there; `amplitude`'s sum starts at +0.0, so it cannot tell."""
+    value = 1.0
+    for x, x_basis, y, y_basis in zip(bits, bases, prefix.bits, prefix.bases):
+        if x_basis != y_basis:
+            value *= -_SQRT_HALF if x & y else _SQRT_HALF
+        elif x != y:
+            return 0.0
+    return value
 
 
 @dataclass(frozen=True)
@@ -154,19 +166,20 @@ def _select(prog: ProtectedProgram, x: Sequence[int]):
     return tuple(a ^ b for a, b in zip(prog.r, s_x[:lam])), s_x, theta_x
 
 
-def _match(sigma, row, bases) -> float:
-    """Probability that the prefix is the row in the given bases."""
+def _match(sigma, row, bases) -> tuple[float, float | None]:
+    """Probability that the prefix is the row in the given bases, and for a sum <row|prefixes>."""
     if isinstance(sigma, qcore.BB84Product):
         # exact per prefix qubit: 1/2 across bases, else whether its bit is the row's
         return float(math.prod(0.5 if own != basis else bit == want
-                               for bit, own, want, basis in zip(sigma.bits, sigma.bases, row, bases)))
-    return sigma.amplitude(row, bases) ** 2
+                               for bit, own, want, basis in zip(sigma.bits, sigma.bases, row, bases))), None
+    amplitude = sigma.amplitude(row, bases)
+    return amplitude**2, amplitude
 
 
 def cp_accept_probability(prog: ProtectedProgram, x: Sequence[int]) -> float:
     """Exact probability that evaluation takes the matching branch."""
     row, _, theta_x = _select(prog, x)
-    return _match(prog.sigma, row, theta_x[: prog.lam])
+    return _match(prog.sigma, row, theta_x[: prog.lam])[0]
 
 
 def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.Generator):
@@ -182,7 +195,7 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
         raise ValueError("program does not match lam")
     row, s_x, theta_x = _select(prog, x)
     sigma, bases = prog.sigma, theta_x[:lam]
-    p = _match(sigma, row, bases)
+    p, amplitude = _match(sigma, row, bases)
     verdict = qcore.born_index(np.array([1.0 - p, p]), rng)
     if not verdict:
         if p == 0.0:
@@ -191,9 +204,10 @@ def cp_eval(lam: int, prog: ProtectedProgram, x: Sequence[int], rng: np.random.G
         # -<row|prefixes> / sqrt(1 - p), merged into the term that already holds that product
         if isinstance(sigma, qcore.BB84Product):
             sigma = ProductSum(((1.0, sigma[:lam]),), sigma[lam:])
+            amplitude = sigma.amplitude(row, bases)
         scale, target = 1.0 / math.sqrt(1.0 - p), qcore.BB84Product(row, bases)
         coeffs = {prefix: c * scale for c, prefix in sigma.terms}
-        coeffs[target] = coeffs.get(target, 0.0) - sigma.amplitude(row, bases) * scale
+        coeffs[target] = coeffs.get(target, 0.0) - amplitude * scale
         sigma = ProductSum(tuple((c, prefix) for prefix, c in coeffs.items()), sigma.suffix)
         return (0,) * lam, replace(prog, sigma=sigma), False
     # P sigma is the row in x's bases times the untouched suffix: one product to read out

@@ -130,7 +130,7 @@ class Device:
 
     # -- per-copy structure ----------------------------------------------
 
-    def _pair(self, mode: int, copy: int) -> entcf.EntcfKeyPair:
+    def _pair(self, mode: int, copy: int) -> entcf.EntcfKey:
         return self.keypairs[mode][copy]
 
     def copy_y_list(self, mode: int, copy: int) -> list[tuple[int, float, int]]:

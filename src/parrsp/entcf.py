@@ -24,6 +24,12 @@ key can invert it.  Honest parties simply refrain from doing so; the point
 of this backend is exact, reproducible protocol behavior at desk scale,
 not computational security.
 
+A key is one immutable, validated object.  In this backend the trapdoor is
+the key's own data, so :func:`gen` builds a single :class:`EntcfKey` that
+also answers ``.key`` and ``.trapdoor`` (the key pair of the TCF interface),
+and :func:`trapdoor_from_key` returns its argument.  ``EntcfTrapdoor`` names
+the same class in its decoding role.
+
 Supports are noiseless singletons, so honest protocol behavior is exact:
 checks that hold "with overwhelming probability" for the noisy families
 hold with probability 1 here.  One consequence worth knowing: the equation
@@ -51,21 +57,9 @@ class DecodeError(ValueError):
     """A decoding map was applied outside its domain."""
 
 
-def _check_mode(mode: int) -> int:
-    if mode not in (INJECTIVE, CLAW_FREE):
-        raise ValueError(f"mode must be 0 (injective) or 1 (claw-free), got {mode}")
-    return mode
-
-
-def _check_width(width: int) -> int:
-    if not MIN_KEY_WIDTH <= width <= MAX_KEY_WIDTH:
-        raise ValueError(f"key width {width} outside [{MIN_KEY_WIDTH}, {MAX_KEY_WIDTH}]")
-    return width
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntcfKey:
-    """Public key: function mode, preimage width, permutation seed.
+    """Key, trapdoor and key pair at once: function mode, preimage width, permutation seed.
 
     Claw-free keys also carry the claw offset, which the evaluation map
     needs; see the module warning about the (intentional) lack of secrecy.
@@ -77,8 +71,10 @@ class EntcfKey:
     delta: int | None = None
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        _check_width(self.width)
+        if self.mode not in (INJECTIVE, CLAW_FREE):
+            raise ValueError(f"mode must be 0 (injective) or 1 (claw-free), got {self.mode}")
+        if not MIN_KEY_WIDTH <= self.width <= MAX_KEY_WIDTH:
+            raise ValueError(f"key width {self.width} outside [{MIN_KEY_WIDTH}, {MAX_KEY_WIDTH}]")
         if len(self.seed) != 16:
             raise ValueError("permutation seed must be 16 bytes")
         if self.mode == CLAW_FREE:
@@ -87,21 +83,17 @@ class EntcfKey:
         elif self.delta is not None:
             raise ValueError("injective keys carry no delta")
 
+    @property
+    def key(self) -> EntcfKey:
+        return self
 
-@dataclass(frozen=True)
-class EntcfTrapdoor:
-    """Inversion capability for one key (same data, decoding-side role)."""
-
-    mode: int
-    width: int
-    seed: bytes
-    delta: int | None = None
+    @property
+    def trapdoor(self) -> EntcfKey:
+        """The inversion capability, which here is the key itself."""
+        return self
 
 
-@dataclass(frozen=True)
-class EntcfKeyPair:
-    key: EntcfKey
-    trapdoor: EntcfTrapdoor
+EntcfTrapdoor = EntcfKey  # the decoding-side role of the same data
 
 
 @lru_cache(maxsize=512)
@@ -118,46 +110,52 @@ def _digest(seed: bytes, rnd: int, counter: int) -> bytes:
     return hashlib.blake2b(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64).digest()
 
 
+def _layout(total_bits: int) -> tuple[int, int, int, int, int]:
+    """Right half width, left and right entry bytes, left and right masks of a split."""
+    left_bits = (total_bits + 1) // 2
+    right_bits = total_bits - left_bits
+    return right_bits, (left_bits + 7) // 8, (right_bits + 7) // 8, (1 << left_bits) - 1, (1 << right_bits) - 1
+
+
+_LAYOUTS = tuple(_layout(total_bits) for total_bits in range(MAX_KEY_WIDTH + 2))
+_FORWARD = tuple(range(FEISTEL_ROUNDS))
+_INVERSE = _FORWARD[::-1]
+
+
 def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) -> int:
     """pi (or pi^-1) of `value`; round r XORs entry i of its stream into one half.
 
     Entry i of a round whose destination half has d bits is bytes
     [i*k, (i+1)*k) of the stream read big-endian (k = ceil(d / 8) bytes)
     and masked to d bits.  As 64 is a multiple of k, the entry lies whole
-    in digest (i*k) // 64 at offset (i*k) % 64.
+    in digest (i*k) // 64 at offset (i*k) % 64.  A one-byte entry is read
+    by indexing, which is what makes widths below 16 cheaper.
     """
-    left_bits = (total_bits + 1) // 2
-    right_bits = total_bits - left_bits
-    left_size, right_size = (left_bits + 7) // 8, (right_bits + 7) // 8
-    left_mask, right_mask = (1 << left_bits) - 1, (1 << right_bits) - 1
+    right_bits, left_size, right_size, left_mask, right_mask = _LAYOUTS[total_bits]
     left = value >> right_bits
     right = value & right_mask
-    order = range(FEISTEL_ROUNDS - 1, -1, -1) if inverse else range(FEISTEL_ROUNDS)
-    for rnd in order:
-        if rnd % 2 == 0:
-            pos = right * left_size
-            offset = pos & 63
-            digest = _digest(seed, rnd, pos >> 6)
-            left ^= int.from_bytes(digest[offset : offset + left_size], "big") & left_mask
-        else:
+    for rnd in _INVERSE if inverse else _FORWARD:
+        if rnd & 1:
             pos = left * right_size
-            offset = pos & 63
-            digest = _digest(seed, rnd, pos >> 6)
-            right ^= int.from_bytes(digest[offset : offset + right_size], "big") & right_mask
+            digest, offset = _digest(seed, rnd, pos >> 6), pos & 63
+            entry = digest[offset] if right_size == 1 else int.from_bytes(digest[offset : offset + right_size], "big")
+            right ^= entry & right_mask
+        else:
+            pos = right * left_size
+            digest, offset = _digest(seed, rnd, pos >> 6), pos & 63
+            entry = digest[offset] if left_size == 1 else int.from_bytes(digest[offset : offset + left_size], "big")
+            left ^= entry & left_mask
     return (left << right_bits) | right
 
 
-def gen(mode: int, width: int, rng: np.random.Generator) -> EntcfKeyPair:
-    """Fresh key pair: new permutation seed, and a claw offset in mode 1."""
-    _check_mode(mode)
-    _check_width(width)
+def gen(mode: int, width: int, rng: np.random.Generator) -> EntcfKey:
+    """Fresh key: new permutation seed, and a claw offset in mode 1.
+
+    The key validates mode and width itself, after the draws.
+    """
     seed = rng.bytes(16)
-    delta = None
-    if mode == CLAW_FREE:
-        delta = 1 + int(rng.integers(0, (1 << width) - 1))
-    key = EntcfKey(mode=mode, width=width, seed=seed, delta=delta)
-    trapdoor = EntcfTrapdoor(mode=mode, width=width, seed=seed, delta=delta)
-    return EntcfKeyPair(key=key, trapdoor=trapdoor)
+    delta = 1 + int(rng.integers(0, (1 << width) - 1)) if mode == CLAW_FREE else None
+    return EntcfKey(mode, width, seed, delta)
 
 
 def eval_point(key: EntcfKey, b: int, x: int) -> int:
@@ -251,4 +249,4 @@ def key_from_wire(obj: dict) -> EntcfKey:
 
 def trapdoor_from_key(key: EntcfKey) -> EntcfTrapdoor:
     """This backend's keys carry full inversion capability (see warning)."""
-    return EntcfTrapdoor(mode=key.mode, width=key.width, seed=key.seed, delta=key.delta)
+    return key

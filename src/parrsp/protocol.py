@@ -144,21 +144,22 @@ class VerifierSession:
     # -- round drivers ------------------------------------------------
 
     def _commit_phase(self, round_index: int, modes: Sequence[int], rng: np.random.Generator):
-        keypairs = [entcf.gen(mode, self.config.width, rng) for mode in modes]
+        """Fresh keys, which are their own trapdoors here, and the images the prover commits to."""
+        keys = [entcf.gen(mode, self.config.width, rng) for mode in modes]
         msg = {
             "type": "KEYS",
             "session": self.session,
             "round": round_index,
-            "keys": [entcf.key_to_wire(kp.key) for kp in keypairs],
+            "keys": [entcf.key_to_wire(key) for key in keys],
         }
         reply = self._exchange(msg, "IMAGES")
-        return keypairs, rules.parse_images(reply, self.config.n, self.config.width)
+        return keys, rules.parse_images(reply, self.config.n, self.config.width)
 
     def run_test_round(self, round_index: int, force_round_type: str | None = None) -> TestRoundRecord:
         cfg = self.config
         rng = derived_rng(cfg.seed, "verifier", round_index)
         theta = int(rng.integers(0, 2))
-        keypairs, images = self._commit_phase(round_index, [theta] * cfg.n, rng)
+        keys, images = self._commit_phase(round_index, [theta] * cfg.n, rng)
 
         round_type = rules.ROUND_TYPES[int(rng.integers(0, 2))] if force_round_type is None else force_round_type
         if round_type not in rules.ROUND_TYPES:
@@ -168,7 +169,7 @@ class VerifierSession:
         record = TestRoundRecord(
             round_index=round_index,
             theta=theta,
-            keys=[kp.key for kp in keypairs],
+            keys=keys,
             images=images,
             round_type=round_type,
             flag=FLAG_OK,
@@ -184,8 +185,7 @@ class VerifierSession:
             record.question = theta
             reply = self._exchange({"type": "QUESTION", "round": round_index, "q": theta}, "ANSWERS")
             record.answers = rules.parse_answers(reply, cfg.n)
-            trapdoors = [kp.trapdoor for kp in keypairs]
-            record.flag = rules.hadamard_flag(trapdoors, images, record.equations, record.answers)
+            record.flag = rules.hadamard_flag(keys, images, record.equations, record.answers)
 
         self._exchange({"type": "VERDICT", "round": round_index, "flag": record.flag}, None)
         return record
@@ -196,13 +196,13 @@ class VerifierSession:
         if len(theta_vec) != cfg.n or any(t not in (0, 1) for t in theta_vec):
             raise ValueError("theta_vec must be n bits")
         rng = derived_rng(cfg.seed, "verifier", round_index)
-        keypairs, images = self._commit_phase(round_index, theta_vec, rng)
+        keys, images = self._commit_phase(round_index, theta_vec, rng)
         reply = self._exchange(
             {"type": "ROUND_TYPE", "round": round_index, "round_type": HADAMARD_ROUND}, "EQUATIONS"
         )
         equations = rules.parse_equations(reply, cfg.n, cfg.width)
-        v_vec = rules.decode_all([kp.trapdoor for kp in keypairs], images, equations)
-        return v_vec, keypairs, images, equations
+        v_vec = rules.decode_all(keys, images, equations)
+        return v_vec, keys, images, equations
 
     def run_multi_round(self, prep_theta: Sequence[int] | None = None) -> ProtocolResult:
         cfg = self.config

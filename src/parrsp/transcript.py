@@ -7,6 +7,12 @@ basis choice, per-round flags, session parameters).  Sequence numbers play
 the role of timestamps; wall-clock times would break the byte-identical
 reproducibility guarantee.
 
+A live recorder keeps the wrapped messages and encodes them with
+:func:`canonical_json` only when its lines or bytes are asked for, so a
+session whose transcript nobody reads pays for no encoding.  A prover
+hands over its reply when ``handle()`` returns it: the recorder keeps a
+copy that shares no container with the prover.
+
 Replay re-derives every verifier decision from the recorded messages alone
 (the serialized keys carry the full decoding capability in this backend)
 with the live session's own rules (:mod:`parrsp.rules`).  It reports a
@@ -17,7 +23,8 @@ protocol abort), the ``accepted`` decision, and, in an accepted session,
 the preparation round's ``v`` and the SUMMARY's and FINAL's ``theta``
 against the preparation keys' modes.  A malformed record (a non-integer
 round, bit, width or m, a hex field not in canonical form, a missing
-message) raises TranscriptFormatError.
+message) raises TranscriptFormatError.  A live recorder is replayed from
+its encoded lines, exactly as the file it would save.
 """
 
 from __future__ import annotations
@@ -33,27 +40,47 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+
+def _snapshot(value):
+    """A copy of a JSON value that shares no list or dict with it."""
+    if isinstance(value, dict):
+        return {k: v if type(v) in _ATOMS else _snapshot(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _ATOMS else _snapshot(v) for v in value]
+    return value
+
+
 class TranscriptRecorder:
-    """Accumulates wrapped messages; verifier-side only."""
+    """Accumulates wrapped messages; verifier-side only.
+
+    Messages are kept as dicts and encoded on demand by `lines`,
+    `to_bytes` and `save`.  A verifier message is kept in a shallow
+    wrapper, as the verifier builds each one fresh and never edits it (an
+    in-process prover must not edit a message it is handed either).  A
+    prover reply (``"p->v"``) and the SUMMARY are copied, so editing them
+    after they were recorded leaves the transcript as it was.
+    """
 
     def __init__(self):
-        self._lines: list[str] = []
+        self._messages: list[dict] = []
         self._seq = 0
 
     def record(self, direction: str, msg: dict) -> None:
         if direction not in ("v->p", "p->v"):
             raise ValueError(f"unknown direction {direction!r}")
-        wrapped = dict(msg)
+        wrapped = dict(msg) if direction == "v->p" else _snapshot(msg)
         wrapped["dir"] = direction
         wrapped["seq"] = self._seq
         self._seq += 1
-        self._lines.append(canonical_json(wrapped))
+        self._messages.append(wrapped)
 
     def summary(self, summary: dict) -> None:
-        self._lines.append(canonical_json(summary))
+        self._messages.append(_snapshot(summary))
 
     def to_bytes(self) -> bytes:
-        return ("\n".join(self._lines) + "\n").encode("utf-8")
+        return ("\n".join(self.lines) + "\n").encode("utf-8")
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -61,7 +88,7 @@ class TranscriptRecorder:
 
     @property
     def lines(self) -> list[str]:
-        return list(self._lines)
+        return [canonical_json(msg) for msg in self._messages]
 
 
 @dataclass
@@ -98,21 +125,21 @@ def _load_lines(source) -> list[dict]:
 
 
 def _commitment(bundle: dict[str, dict], n: int, width: int):
-    """A round's keys, their trapdoors (the keys carry them here) and the parsed images."""
+    """A round's keys, which are also their trapdoors in this backend, and the parsed images."""
     keys = [entcf.key_from_wire(k) for k in rules.per_copy(bundle["KEYS"], "keys", n, "key")]
-    return keys, [entcf.trapdoor_from_key(k) for k in keys], rules.parse_images(bundle["IMAGES"], n, width)
+    return keys, rules.parse_images(bundle["IMAGES"], n, width)
 
 
 def _recompute_flag(bundle: dict[str, dict], n: int, width: int) -> str:
     """Recompute the verifier flag for one test round from its messages."""
-    keys, trapdoors, images = _commitment(bundle, n, width)
+    keys, images = _commitment(bundle, n, width)
     round_type = bundle["ROUND_TYPE"]["round_type"]
     if round_type == rules.PREIMAGE_ROUND:
         return rules.preimage_flag(keys, images, rules.parse_preimages(bundle["PREIMAGES"], n, width))
     if round_type != rules.HADAMARD_ROUND:
         raise TranscriptFormatError(f"unknown round type {round_type!r}")
     equations = rules.parse_equations(bundle["EQUATIONS"], n, width)
-    return rules.hadamard_flag(trapdoors, images, equations, rules.parse_answers(bundle["ANSWERS"], n))
+    return rules.hadamard_flag(keys, images, equations, rules.parse_answers(bundle["ANSWERS"], n))
 
 
 def replay(source) -> ReplayReport:
@@ -204,9 +231,9 @@ def _replay_records(records: list[dict]) -> ReplayReport:
     if accepted:
         if prep_round is None:
             raise TranscriptFormatError("accepted run lacks a preparation round")
-        keys, trapdoors, images = _commitment(rounds[prep_round], n, width)
+        keys, images = _commitment(rounds[prep_round], n, width)
         equations = rules.parse_equations(rounds[prep_round]["EQUATIONS"], n, width)
-        v = bits_to_hex(rules.decode_all(trapdoors, images, equations))
+        v = bits_to_hex(rules.decode_all(keys, images, equations))
         theta = bits_to_hex([key.mode for key in keys])
         final = next((msg for msg in messages if msg.get("type") == "FINAL"), {})
         for name, recorded, recomputed in (
