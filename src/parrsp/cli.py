@@ -54,6 +54,19 @@ def _bits(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
+def _port(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and 1 <= int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected a port number in 1-65535, not {text!r}")
+    return int(text)
+
+
+def _endpoint(text: str) -> tuple[str, int]:
+    host, sep, port = text.rpartition(":")
+    if not (sep and host):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, not {text!r}")
+    return host, _port(port)
+
+
 def _prover_factory(name: str, seed: int):
     if name == "honest":
         return provers.HonestProver(seed)
@@ -69,6 +82,8 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
         parser.error("--config needs a file path")
     with open(argv[idx + 1], "r", encoding="utf-8") as fh:
         values = json.load(fh)
+    if not isinstance(values, dict):
+        parser.error(f"--config file {argv[idx + 1]} must hold a JSON object of flag values")
     out = list(argv[:idx] + argv[idx + 2 :])
     # config values become trailing defaults only where the flag is absent
     for key, value in values.items():
@@ -104,14 +119,14 @@ def build_parser() -> _Parser:
     run.add_argument("--width", type=int, default=4)
     run.add_argument("--prover", default="honest", choices=provers.PROVER_NAMES)
     run.add_argument("--transcript", help="write the session transcript (JSON lines)")
-    run.add_argument("--connect", help="HOST:PORT of a remote prover (socket mode)")
+    run.add_argument("--connect", type=_endpoint, help="HOST:PORT of a remote prover (socket mode)")
     run.add_argument("--strict-trailing", action="store_true")
     run.set_defaults(func=cmd_rsp_run)
 
     serve = rsp_sub.add_parser("serve-prover", help="serve a prover over a socket")
     common(serve)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, required=True)
+    serve.add_argument("--port", type=_port, required=True)
     serve.add_argument("--sessions", type=int, default=1)
     serve.add_argument("--prover", default="honest", choices=provers.PROVER_NAMES)
     serve.set_defaults(func=cmd_rsp_serve)
@@ -193,8 +208,7 @@ def cmd_rsp_run(args) -> int:
         strict_trailing=args.strict_trailing,
     )
     if args.connect:
-        host, port = args.connect.rsplit(":", 1)
-        endpoint = wire.SocketProverClient.connect(host, int(port))
+        endpoint = wire.SocketProverClient.connect(*args.connect)
     else:
         endpoint = _prover_factory(args.prover, derive_seed(args.seed, "prover"))
     try:

@@ -1,5 +1,5 @@
 """Delegated-computation glue: one-time pad, state preparation binding,
-a transparent reference evaluator, and the clocked execution state.
+and a transparent reference evaluator.
 
 The interactive preparation protocol replaces the quantum channel of a
 computing-on-encrypted-data scheme: Setup fixes the classical input pad
@@ -66,19 +66,12 @@ class Circuit:
     def t_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "T")
 
-    def apply(self, state: qcore.StateVector, upto: int | None = None) -> qcore.StateVector:
-        """Apply the first `upto` gates (all when None)."""
-        gates = self.gates if upto is None else self.gates[:upto]
-        for g in gates:
+    def apply(self, state: qcore.StateVector) -> qcore.StateVector:
+        """Apply every gate, in order."""
+        for g in self.gates:
             op = qcore.LinearOperator(_CNOT if g.name == "CNOT" else _GATES_1Q[g.name], unitary=True)
             state = qcore.apply_operator(op, state, g.targets)
         return state
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.qubit_count,
-            "gates": [{"gate": g.name, "targets": list(g.targets)} for g in self.gates],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Circuit":
@@ -182,37 +175,3 @@ def qced_evaluate_reference(keys: QcedKeys, circuit: Circuit, ct: Sequence[int],
 
 def qced_dec(sk_star: Sequence[int], ct_star: Sequence[int]) -> tuple[int, ...]:
     return otp_dec(sk_star, ct_star)
-
-
-def history_state(circuit: Circuit, x: Sequence[int]) -> qcore.StateVector:
-    """Clocked execution superposition with a unary clock register.
-
-    The state is sum_t |t> (x) (prefix of the circuit applied to |x>)
-    normalized by sqrt(T+1); clock value t is the (T+1)-qubit string with
-    a single 1 at position t.  Clock qubits come first, then data qubits.
-    """
-    x = tuple(x)
-    t_total = len(circuit.gates)
-    n = circuit.qubit_count
-    if t_total > 8 or n > 6:
-        raise ValueError("history states capped at 8 gates and 6 data qubits")
-    if len(x) != n:
-        raise ValueError("input length must match the circuit width")
-    clock_qubits = t_total + 1
-    dim_clock = 2**clock_qubits
-    dim_data = 2**n
-    amps = np.zeros(dim_clock * dim_data, dtype=complex)
-    for t in range(t_total + 1):
-        clock_index = 1 << (clock_qubits - 1 - t)  # unary: qubit t is set
-        data = circuit.apply(qcore.StateVector.basis_state(x), upto=t).amplitudes
-        amps[clock_index * dim_data : (clock_index + 1) * dim_data] += data
-    return qcore.StateVector(amps / np.sqrt(t_total + 1))
-
-
-def history_clock_projection(state: qcore.StateVector, circuit: Circuit, t: int) -> np.ndarray:
-    """Unnormalized data-register amplitudes at clock value t."""
-    t_total = len(circuit.gates)
-    clock_qubits = t_total + 1
-    dim_data = 2**circuit.qubit_count
-    clock_index = 1 << (clock_qubits - 1 - t)
-    return state.amplitudes[clock_index * dim_data : (clock_index + 1) * dim_data]

@@ -269,16 +269,6 @@ def device_from_honest(n: int, width: int, rng: np.random.Generator) -> Device:
     return Device(n=n, width=width, keypairs_by_mode=keypairs)
 
 
-def averaged_over_keys(n: int, width: int, rng: np.random.Generator, diagnostic, samples: int = 32):
-    """Average a scalar diagnostic over freshly sampled key tuples.
-
-    Diagnostics default to one fixed key tuple per mode (every honest
-    quantity is exact); this helper provides the key-averaged variant.
-    """
-    values = [diagnostic(device_from_honest(n, width, rng)) for _ in range(samples)]
-    return float(np.mean(values))
-
-
 def perturb_device(device: Device, epsilon: float) -> Device:
     """Mix each question answer with a uniform one with probability epsilon.
 
@@ -382,22 +372,12 @@ def success_relations_report(device: Device) -> dict:
     return {"rows": rows, "max_gap": max_gap}
 
 
-def pauli_relation_value(device: Device, a: Sequence[int], b: Sequence[int]) -> complex:
-    """Tr[Z(a) Xt(b) Z(a) Xt(b) sigma^(1...1)], evaluated blockwise.
+def pauli_relation_grid(device: Device) -> dict:
+    """All 4^n values Tr[Z(a) Xt(b) Z(a) Xt(b) sigma^(1...1)] plus the worst deviation from (-1)^(a.b).
 
     Both Xtilde factors carry the same sign on a block, so the signs cancel
-    and the value is a trace against the whole of sigma^(1...1).
-    """
-    z = device.observable_matrix("Z", a)
-    x = device.observable_matrix("X", b)
-    total = sum(device.sigma_by_v((1,) * device.n).values())
-    return device.trace(z @ x @ z @ x, total)
-
-
-def pauli_relation_grid(device: Device) -> dict:
-    """All 4^n relation values plus the worst deviation from (-1)^(a.b).
-
-    Each is :func:`pauli_relation_value`, with its operators and blocks built once per grid."""
+    and each value is a trace against the whole of sigma^(1...1).  The
+    operators and that sum are built once per grid."""
     n = device.n
     strings = list(itertools.product((0, 1), repeat=n))
     zs = [device.observable_matrix("Z", a) for a in strings]
@@ -428,19 +408,6 @@ def anticommutation_value(device: Device, i: int) -> float:
     x = device.observable_matrix("X", e_i)
     # the Xtilde_i sign of a block is (-1)^(v_i), v_i = u(d_i) its decoded bit
     return device.trace(z @ x @ z, _sign_split(device.sigma_by_v(e_i), e_i)).real
-
-
-def state_dep_distance(a, b, psi) -> float:
-    """Tr[(A - B)^dag (A - B) psi] for matrices A, B and a state psi."""
-    a = a.entries if isinstance(a, qcore.LinearOperator) else np.asarray(a, dtype=complex)
-    b = b.entries if isinstance(b, qcore.LinearOperator) else np.asarray(b, dtype=complex)
-    if isinstance(psi, qcore.DensityMatrix):
-        psi = psi.entries
-    psi = np.asarray(psi, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != psi.shape[0]:
-        raise ValueError("dimension mismatch")
-    diff = a - b
-    return float(np.trace(diff.conj().T @ diff @ psi).real)
 
 
 # -- rounding isometries ---------------------------------------------------
@@ -591,31 +558,3 @@ def validate_device(device: Device) -> dict:
     total = sum(np.outer(row, row) for row in eye)
     report["preimage_projectivity_gap"] = float(np.max(np.abs(total - eye)))
     return report
-
-
-def accept_reject_consistency(device: Device) -> dict:
-    """The same Hadamard-round pass probability along two code paths.
-
-    Path one evaluates the protocol check directly on the device's
-    measurement outcomes; path two reassembles it from partial states and
-    observable projectors.
-    """
-    n = device.n
-    out = {}
-    for theta in (0, 1):
-        sigma = device.sigma_by_v((theta,) * n)
-        singles = [
-            device.observable_matrix("Z" if theta == 0 else "X", tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)
-        ]
-        direct = 0.0
-        via_observables = 0.0
-        for v_vec, block in sigma.items():
-            direct += device.trace(device.question_projector(theta, v_vec), block).real
-            proj = device.identity()
-            for v, obs in zip(v_vec, singles):
-                proj = proj @ obs.projector(v)
-            via_observables += device.trace(proj, block).real
-        out[theta] = {"direct": direct, "via_observables": via_observables,
-                      "gap": abs(direct - via_observables)}
-    return out

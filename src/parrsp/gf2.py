@@ -86,12 +86,6 @@ def gf_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     return FieldElement(_clmul_reduce(x.bits, y.bits, x.width), x.width)
 
 
-def gf_add(x: FieldElement, y: FieldElement) -> FieldElement:
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
-    return FieldElement(x.bits ^ y.bits, x.width)
-
-
 def _inv_int(x: int, width: int) -> int:
     """Inverse by the extended Euclidean algorithm over GF(2)[x].
 
@@ -155,14 +149,6 @@ def pip_sample(width: int, rng: np.random.Generator) -> PermKey:
     return PermKey(FieldElement(a, width), FieldElement(b, width))
 
 
-def all_perm_keys(width: int):
-    """Every key of the family at this width (for exhaustive counts)."""
-    _check_width(width)
-    for a in range(1, 1 << width):
-        for b in range(1 << width):
-            yield PermKey(FieldElement(a, width), FieldElement(b, width))
-
-
 def _check_value(x: int, width: int) -> int:
     if not 0 <= x < (1 << width):
         raise ValueError(f"value {x} does not fit in {width} bits")
@@ -184,10 +170,3 @@ def pip_eval(key: PermKey, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != key.width:
         raise ValueError(f"input length {len(x)} does not match key width {key.width}")
     return index_to_bits(pip_eval_int(key, bits_to_index(x)), key.width)
-
-
-def pip_invert(key: PermKey, y: Sequence[int]) -> tuple[int, ...]:
-    y = tuple(y)
-    if len(y) != key.width:
-        raise ValueError(f"input length {len(y)} does not match key width {key.width}")
-    return index_to_bits(pip_invert_int(key, bits_to_index(y)), key.width)

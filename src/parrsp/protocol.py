@@ -75,10 +75,6 @@ class MultiRoundConfig:
         if not entcf.MIN_KEY_WIDTH <= self.width <= entcf.MAX_KEY_WIDTH:
             raise ValueError(f"width {self.width} outside supported key range")
 
-    @property
-    def max_test_rounds(self) -> int:
-        return self.m_blocks**2
-
     def summary_config(self) -> dict:
         """The session parameters a SUMMARY records and replay reads back."""
         return {"n": self.n, "m": self.m_blocks, "delta": self.delta, "width": self.width, "seed": self.seed,

@@ -228,14 +228,9 @@ class DensityMatrix:
         object.__setattr__(self, "qubit_count", q)
 
     @classmethod
-    def maximally_mixed(cls, qubit_count: int) -> "DensityMatrix":
-        dim = 2**qubit_count
-        return cls(np.eye(dim, dtype=complex) / dim, weight=1.0)
-
-    @classmethod
     def _unchecked(cls, entries: np.ndarray, weight: float) -> "DensityMatrix":
         """Internal factory for operations that preserve validity by
-        construction (unitary conjugation, projection, partial trace)."""
+        construction (unitary conjugation, projection, tensor products)."""
         obj = object.__new__(cls)
         arr = np.asarray(entries, dtype=complex)
         arr.setflags(write=False)
@@ -506,25 +501,6 @@ def sample_outcome(state, targets: Sequence[int], rng: np.random.Generator | Non
     if rng is None:
         raise ValueError("non-deterministic measurement requires an rng")
     return index_to_bits(born_index(marg, rng), len(targets))
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept qubits (in the listed order); trace preserved."""
-    keep = tuple(keep)
-    q = rho.qubit_count
-    if len(set(keep)) != len(keep) or any(not 0 <= k < q for k in keep):
-        raise ValueError(f"invalid kept indices {keep} for {q} qubits")
-    traced = tuple(i for i in range(q) if i not in keep)
-    tensor = rho.entries.reshape([2] * (2 * q))
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = list(letters[:q])
-    col = list(letters[q : 2 * q])
-    for t in traced:
-        col[t] = row[t]
-    out_spec = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out_spec, tensor)
-    dim = 2 ** len(keep)
-    return DensityMatrix._unchecked(reduced.reshape(dim, dim), weight=rho.weight)
 
 
 def trace_norm(delta: np.ndarray) -> float:

@@ -5,7 +5,9 @@ basis-hidden one-time-padded qubit), its classical-client variant (the
 interactive preparation protocol stands in for sending qubits), the
 wrong-key-detection transform (random prefix plus a pairwise-independent
 permutation of the key space), the hybrid scheme on top of it, and an
-exact harness for cloning attacks.
+exact harness for cloning attacks.  ``unclonable demo`` runs
+:func:`cloning_experiment`; the classical-client experiment and the hybrid
+scheme are Python API (see the README).
 
 Key spaces.  A conjugate-coding key for mu-bit messages is (r, theta),
 both mu bits.  The WKD transform wraps the 2*lambda-qubit inner scheme, so
@@ -207,8 +209,15 @@ def cloning_experiment(
     are uniform bit by bit, so the exact average over all 8^lam instances
     is the average over the eight one-qubit instances (r, theta, m),
     raised to the power lam.  Monte Carlo samples keys and messages but
-    scores each instance exactly, so the reported standard error covers
-    all the randomness there is.
+    scores each instance exactly.  An honest register is always in its
+    key's basis, so every sampled instance of a shipped attack scores the
+    closed form itself, 2^-lam (forward) or cos^2(pi/8)^lam (Breidbart):
+    both modes return it within 1e-12, and Monte Carlo's standard error
+    is 0 up to rounding.  Sampling would carry information only for a
+    register that is not honest.  In
+    :func:`cloning_experiment_classical_client` every register a shipped
+    prover hands over scores that value too, so there the sampled success
+    is it times the fraction of accepted sessions.
     """
     _check_attack(attack, lam)
     if mode == "exact":
@@ -341,41 +350,6 @@ def wkd_wrong_key_acceptance_formula(lam: int) -> float:
     """
     n = 1 << (4 * lam)
     return (n * 2.0**-lam - 1.0) / (n - 1.0)
-
-
-def wkd_wrong_key_acceptance_exact(lam: int) -> float:
-    """Average wrong-key acceptance by enumerating distinct inner-key pairs.
-
-    By pairwise independence the permutation average over any fixed
-    distinct key pair equals the average over uniformly random distinct
-    inner-key pairs, so the enumeration runs over those: per prefix
-    position the branch probability is 1, 1/2, or 0 as in
-    :func:`wkd_wrong_key_acceptance_formula`, and the acceptance is the
-    product over positions.  Vectorized over the second key; lam <= 3.
-    """
-    if lam > 3:
-        raise ValueError("full pair enumeration capped at lam = 3; use the closed form")
-    n_bits = 4 * lam
-    n = 1 << n_bits
-    keys = np.arange(n, dtype=np.uint64)
-    total = 0.0
-    # per prefix position i: pad bit at position i of the first 2*lam
-    # block, basis bit at position i of the second block
-    for k_val in range(n):
-        factors = np.ones(n, dtype=np.float64)
-        for i in range(lam):
-            pad_shift = n_bits - 1 - i
-            basis_shift = n_bits - 1 - (2 * lam + i)
-            pa = (k_val >> pad_shift) & 1
-            ta = (k_val >> basis_shift) & 1
-            pb = (keys >> np.uint64(pad_shift)) & np.uint64(1)
-            tb = (keys >> np.uint64(basis_shift)) & np.uint64(1)
-            same_basis = tb == ta
-            f = np.where(same_basis, np.where(pb == pa, 1.0, 0.0), 0.5)
-            factors *= f
-        factors[k_val] = 0.0  # exclude the equal pair
-        total += float(factors.sum())
-    return total / (n * (n - 1))
 
 
 def wkd_wrong_key_acceptance_mc(lam: int, trials: int, rng: np.random.Generator) -> dict:

@@ -6,7 +6,9 @@ rho_BC, and each key has decoder POVMs on B and C, so the success of one
 `unclonable` scores the same attacks qubit by qubit; this module keeps the
 dense route as the reference.  The Monte Carlo loop draws from the rng
 exactly as `unclonable.cloning_experiment` does, so seeded runs of the two
-can be compared trial by trial.
+can be compared trial by trial.  The last section enumerates wrong-key
+acceptance over every distinct inner-key pair, the reference for the
+closed form that the package uses.
 """
 
 from __future__ import annotations
@@ -200,3 +202,41 @@ def mc_values(attack: CloningAttack, lam: int, trials: int, rng: np.random.Gener
         m = tuple(int(b) for b in rng.integers(0, 2, size=lam))
         values.append(attack_success_given(attack, key, m))
     return values
+
+
+# -- wrong-key detection ----------------------------------------------------
+
+
+def wkd_wrong_key_acceptance_exact(lam: int) -> float:
+    """Average wrong-key acceptance by enumerating distinct inner-key pairs.
+
+    By pairwise independence the permutation average over any fixed
+    distinct key pair equals the average over uniformly random distinct
+    inner-key pairs, so the enumeration runs over those: per prefix
+    position the branch probability is 1, 1/2, or 0 as in
+    `unclonable.wkd_wrong_key_acceptance_formula`, and the acceptance is the
+    product over positions.  Vectorized over the second key; lam <= 3.
+    """
+    if lam > 3:
+        raise ValueError("full pair enumeration capped at lam = 3; use the closed form")
+    n_bits = 4 * lam
+    n = 1 << n_bits
+    keys = np.arange(n, dtype=np.uint64)
+    total = 0.0
+    # per prefix position i: pad bit at position i of the first 2*lam
+    # block, basis bit at position i of the second block
+    for k_val in range(n):
+        factors = np.ones(n, dtype=np.float64)
+        for i in range(lam):
+            pad_shift = n_bits - 1 - i
+            basis_shift = n_bits - 1 - (2 * lam + i)
+            pa = (k_val >> pad_shift) & 1
+            ta = (k_val >> basis_shift) & 1
+            pb = (keys >> np.uint64(pad_shift)) & np.uint64(1)
+            tb = (keys >> np.uint64(basis_shift)) & np.uint64(1)
+            same_basis = tb == ta
+            f = np.where(same_basis, np.where(pb == pa, 1.0, 0.0), 0.5)
+            factors *= f
+        factors[k_val] = 0.0  # exclude the equal pair
+        total += float(factors.sum())
+    return total / (n * (n - 1))

@@ -7,6 +7,9 @@ blocks indexed by the image and equation outcomes (y_vec, d_vec), each a
 dense matrix on committed (2^n) x ancilla space, with the ancilla weights
 as a diagonal tensor factor, and every observable, projector and isometry
 as a dense matrix on that space.  Tests compare the class form against it.
+The last section keeps two pointwise references on the class form itself:
+one Pauli-relation value, against which `pauli_relation_grid` is checked,
+and the Hadamard-round pass probability along two code paths.
 """
 
 import itertools
@@ -306,3 +309,46 @@ def validate_device(device) -> dict:
             worst_pre = max(worst_pre, float(np.max(np.abs(total - np.eye(device.committed_dim)))))
     report["preimage_projectivity_gap"] = worst_pre
     return report
+
+
+# -- pointwise references on the class form -------------------------------------
+
+
+def pauli_relation_value(device, a: Sequence[int], b: Sequence[int]) -> complex:
+    """Tr[Z(a) Xt(b) Z(a) Xt(b) sigma^(1...1)], evaluated blockwise.
+
+    Both Xtilde factors carry the same sign on a block, so the signs cancel
+    and the value is a trace against the whole of sigma^(1...1).
+    """
+    z = device.observable_matrix("Z", a)
+    x = device.observable_matrix("X", b)
+    total = sum(device.sigma_by_v((1,) * device.n).values())
+    return device.trace(z @ x @ z @ x, total)
+
+
+def accept_reject_consistency(device) -> dict:
+    """The same Hadamard-round pass probability along two code paths.
+
+    Path one evaluates the protocol check directly on the device's
+    measurement outcomes; path two reassembles it from partial states and
+    observable projectors.
+    """
+    n = device.n
+    out = {}
+    for theta in (0, 1):
+        sigma = device.sigma_by_v((theta,) * n)
+        singles = [
+            device.observable_matrix("Z" if theta == 0 else "X", tuple(1 if j == i else 0 for j in range(n)))
+            for i in range(n)
+        ]
+        direct = 0.0
+        via_observables = 0.0
+        for v_vec, block in sigma.items():
+            direct += device.trace(device.question_projector(theta, v_vec), block).real
+            proj = device.identity()
+            for v, obs in zip(v_vec, singles):
+                proj = proj @ obs.projector(v)
+            via_observables += device.trace(proj, block).real
+        out[theta] = {"direct": direct, "via_observables": via_observables,
+                      "gap": abs(direct - via_observables)}
+    return out

@@ -448,6 +448,44 @@ class TestOutOfRangeSizes:
         assert elapsed < 2.0
 
 
+class TestMalformedArguments:
+    """Bad values exit 1 with a message, in a fresh interpreter, before any file or socket is used."""
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "5", '"n"'], ids=["array", "number", "string"])
+    def test_config_file_without_an_object_exits_1(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        code, out, err, _, _ = TestOutOfRangeSizes.run_child("rsp", "run", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "0", "-1", "http", "٣"])
+    def test_serve_port_out_of_range_exits_1(self, port):
+        code, _, err, elapsed, _ = TestOutOfRangeSizes.run_child("rsp", "serve-prover", "--port", port)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "1-65535" in err
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "endpoint, word",
+        [("127.0.0.1:99999", "1-65535"), ("127.0.0.1:0", "1-65535"), ("127.0.0.1:", "1-65535"),
+         ("localhost", "HOST:PORT"), (":9000", "HOST:PORT")],
+        ids=["port-99999", "port-0", "no-port", "no-colon", "no-host"],
+    )
+    def test_connect_endpoint_exits_1_without_dialling(self, endpoint, word):
+        code, _, err, elapsed, _ = TestOutOfRangeSizes.run_child("rsp", "run", "--connect", endpoint)
+        assert code == 1
+        assert "Traceback" not in err
+        assert word in err
+        assert elapsed < 2.0
+
+    def test_port_type_accepts_the_range_ends(self):
+        assert cli._port("1") == 1 and cli._port("65535") == 65535
+        assert cli._endpoint("::1:9000") == ("::1", 9000)
+
+
 class TestCpEvalInput:
     def test_edited_offset_exits_1(self, capsys, tmp_path):
         prog = tmp_path / "prog.json"

@@ -1,4 +1,4 @@
-"""One-time pad, state-preparation binding, reference evaluator, history state."""
+"""One-time pad, state-preparation binding, reference evaluator."""
 
 import itertools
 
@@ -12,6 +12,14 @@ from parrsp.provers import AlwaysWrongProver, HonestProver
 
 def circuit_of(n, *gate_specs):
     return dl.Circuit(n, tuple(dl.Gate(name, tuple(targets)) for name, targets in gate_specs))
+
+
+def circuit_json(circuit):
+    """The JSON object `Circuit.from_json` reads, as a circuit file holds it."""
+    return {
+        "n": circuit.qubit_count,
+        "gates": [{"gate": g.name, "targets": list(g.targets)} for g in circuit.gates],
+    }
 
 
 class TestOtp:
@@ -48,7 +56,7 @@ class TestCircuit:
 
     def test_json_roundtrip(self):
         c = circuit_of(2, ("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)))
-        assert dl.Circuit.from_json(c.to_json()) == c
+        assert dl.Circuit.from_json(circuit_json(c)) == c
 
     def test_t_count(self):
         c = circuit_of(1, ("T", (0,)), ("H", (0,)), ("T", (0,)))
@@ -181,67 +189,3 @@ class TestQcedPipeline:
             bound, _ = dl.qced_stateprep(keys, HonestProver(seed=9))
             transcripts.append(bound.transcript.to_bytes())
         assert transcripts[0] == transcripts[1]
-
-
-class TestHistoryState:
-    def test_zero_gate_circuit(self):
-        c = dl.Circuit(2, ())
-        hs = dl.history_state(c, (1, 0))
-        # single clock qubit in |1>, data |10>
-        expected = qcore.tensor_product(
-            qcore.StateVector.basis_state([1]), qcore.StateVector.basis_state([1, 0])
-        )
-        assert np.allclose(hs.amplitudes, expected.amplitudes)
-
-    def test_single_hadamard_branches(self):
-        c = circuit_of(1, ("H", (0,)))
-        hs = dl.history_state(c, (0,))
-        # amplitude 1/sqrt(2) on |t=0>|0> and 1/sqrt(2) on |t=1>|+>
-        p0 = dl.history_clock_projection(hs, c, 0)
-        p1 = dl.history_clock_projection(hs, c, 1)
-        assert abs(p0[0] - 1 / np.sqrt(2)) < 1e-12 and abs(p0[1]) < 1e-12
-        assert abs(p1[0] - 0.5) < 1e-12 and abs(p1[1] - 0.5) < 1e-12
-
-    def test_norm_property_random_circuits(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            t_len = int(rng.integers(1, 6))
-            gates = []
-            for _ in range(t_len):
-                name = ["X", "Z", "H", "S", "T", "CNOT"][int(rng.integers(0, 6))]
-                if name == "CNOT":
-                    a, b = rng.choice(2, size=2, replace=False)
-                    gates.append(("CNOT", (int(a), int(b))))
-                else:
-                    gates.append((name, (int(rng.integers(0, 2)),)))
-            c = circuit_of(2, *gates)
-            hs = dl.history_state(c, (0, 1))
-            assert abs(np.linalg.norm(hs.amplitudes) - 1.0) < 1e-12
-
-    def test_clock_projections_match_prefixes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            t_len = int(rng.integers(0, 7))
-            gates = []
-            for _ in range(t_len):
-                name = ["X", "Z", "H", "S", "T", "CNOT"][int(rng.integers(0, 6))]
-                if name == "CNOT" and n >= 2:
-                    a, b = rng.choice(n, size=2, replace=False)
-                    gates.append(("CNOT", (int(a), int(b))))
-                else:
-                    if name == "CNOT":
-                        name = "H"
-                    gates.append((name, (int(rng.integers(0, n)),)))
-            c = circuit_of(n, *gates)
-            x = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            hs = dl.history_state(c, x)
-            for t in range(t_len + 1):
-                proj = dl.history_clock_projection(hs, c, t)
-                expected = c.apply(qcore.StateVector.basis_state(x), upto=t).amplitudes
-                assert np.max(np.abs(proj - expected / np.sqrt(t_len + 1))) < 1e-12
-
-    def test_size_guard(self):
-        c = dl.Circuit(7, ())
-        with pytest.raises(ValueError, match="capped"):
-            dl.history_state(c, (0,) * 7)

@@ -195,32 +195,32 @@ class TestPauliRelations:
         device = dg.device_from_honest(n, 2, np.random.default_rng(n))
         for a in itertools.product((0, 1), repeat=n):
             for b in itertools.product((0, 1), repeat=n):
-                value = dg.pauli_relation_value(device, a, b)
+                value = oracle.pauli_relation_value(device, a, b)
                 expected = (-1) ** (sum(x & y for x, y in zip(a, b)) % 2)
                 assert abs(value - expected) < 1e-9
 
     def test_zero_string_exact_one(self, dev2):
-        assert dg.pauli_relation_value(dev2, (0, 0), (0, 0)) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.pauli_relation_value(dev2, (0, 0), (0, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_helper_matches_pointwise(self, dev2):
         grid = dg.pauli_relation_grid(dev2)
         assert grid["max_deviation"] < 1e-9
         for entry in grid["entries"]:
-            direct = dg.pauli_relation_value(dev2, tuple(entry["a"]), tuple(entry["b"]))
+            direct = oracle.pauli_relation_value(dev2, tuple(entry["a"]), tuple(entry["b"]))
             assert abs(direct - complex(entry["value_re"], entry["value_im"])) < 1e-12
 
     def test_perturbed_value_scaling(self, dev1):
         # n=1, a=b=1: value = -(1-eps) + eps = -1 + 2 eps
         eps = 0.1
         p = dg.perturb_device(dev1, eps)
-        value = dg.pauli_relation_value(p, (1,), (1,))
+        value = oracle.pauli_relation_value(p, (1,), (1,))
         assert abs(value - (-1 + 2 * eps)) < 1e-10
         _, gamma_h = dg.gammas(p)
         assert abs(value - (-1)) <= 4 * gamma_h ** 0.25
 
     def test_perturbed_monotone_sweep(self, dev1):
         values = [
-            abs(dg.pauli_relation_value(dg.perturb_device(dev1, e), (1,), (1,)) - (-1))
+            abs(oracle.pauli_relation_value(dg.perturb_device(dev1, e), (1,), (1,)) - (-1))
             for e in np.linspace(0, 1, 11)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -238,7 +238,7 @@ class TestAnticommutation:
 
     def test_reduces_to_pauli_relation_at_n1(self, dev1):
         anticomm = dg.anticommutation_value(dev1, 0)
-        pauli = dg.pauli_relation_value(dev1, (1,), (1,))
+        pauli = oracle.pauli_relation_value(dev1, (1,), (1,))
         assert abs(anticomm - pauli) < 1e-9
 
     def test_index_validation(self, dev1):
@@ -325,43 +325,14 @@ class TestBb84Form:
         assert values[0] < 1e-9 and values[-1] > 0.1
 
 
-class TestStateDependentDistance:
-    def test_equal_operators(self):
-        rho = qcore.DensityMatrix.maximally_mixed(1)
-        sz = qcore.pauli_z()
-        assert dg.state_dep_distance(sz, sz, rho) < 1e-14
-
-    def test_sign_flip_oracle(self):
-        # oracle: Tr[(2 sigma_Z)^2 I/2] = Tr[4 I / 2] = 4
-        rho = qcore.DensityMatrix.maximally_mixed(1)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        assert abs(dg.state_dep_distance(sz, -sz, rho) - 4.0) < 1e-12
-
-    def test_sqrt_triangle_inequality(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            rho = h @ h.conj().T
-            rho /= np.trace(rho).real
-            d_ac = dg.state_dep_distance(mats[0], mats[2], rho) ** 0.5
-            d_ab = dg.state_dep_distance(mats[0], mats[1], rho) ** 0.5
-            d_bc = dg.state_dep_distance(mats[1], mats[2], rho) ** 0.5
-            assert d_ac <= d_ab + d_bc + 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dg.state_dep_distance(np.eye(2), np.eye(4), np.eye(2) / 2)
-
-
 def test_accept_reject_two_code_paths(dev2):
-    out = dg.accept_reject_consistency(dev2)
+    out = oracle.accept_reject_consistency(dev2)
     for theta in (0, 1):
         assert out[theta]["gap"] < 1e-10
 
 
 def test_accept_reject_consistency_perturbed(dev1):
-    out = dg.accept_reject_consistency(dg.perturb_device(dev1, 0.35))
+    out = oracle.accept_reject_consistency(dg.perturb_device(dev1, 0.35))
     for theta in (0, 1):
         assert out[theta]["gap"] < 1e-10
 
@@ -422,10 +393,8 @@ class TestDeviceMatchesSimulatedProver:
 def test_key_averaging_option(dev1):
     # averaging diagnostics over sampled key tuples keeps honest exactness
     rng = np.random.default_rng(55)
-    value = dg.averaged_over_keys(
-        1, 2, rng, lambda device: dg.anticommutation_value(device, 0), samples=32
-    )
-    assert abs(value - (-1)) < 1e-9
+    values = [dg.anticommutation_value(dg.device_from_honest(1, 2, rng), 0) for _ in range(32)]
+    assert abs(float(np.mean(values)) - (-1)) < 1e-9
 
 
 class TestClassFormMatchesBlockLoop:

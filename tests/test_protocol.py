@@ -40,9 +40,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="width"):
             config(width=30)
 
-    def test_max_test_rounds(self):
-        assert config(m=5).max_test_rounds == 25
-
 
 class TestHonestTestRound:
     @pytest.mark.parametrize("round_type", ["preimage", "hadamard"])

@@ -405,41 +405,6 @@ class TestBB84Product:
             assert rng_product.bit_generator.state == rng_dense.bit_generator.state
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        rho = qcore.tensor_product(ket(0).to_density(), ket(0).to_density())
-        out = qcore.partial_trace(rho, [0])
-        assert np.allclose(out.entries, ket(0).to_density().entries)
-
-    def test_epr_reduces_to_maximally_mixed(self):
-        epr = qcore.StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        out = qcore.partial_trace(epr.to_density(), [0])
-        assert np.allclose(out.entries, np.eye(2) / 2)
-
-    def test_recovers_factors_exactly(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            rho_a = a @ a.conj().T
-            rho_a = qcore.DensityMatrix(rho_a / np.trace(rho_a))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho_b = b @ b.conj().T
-            rho_b = qcore.DensityMatrix(rho_b / np.trace(rho_b))
-            joint = qcore.tensor_product(rho_a, rho_b)
-            assert np.allclose(qcore.partial_trace(joint, [0]).entries, rho_a.entries, atol=1e-10)
-            assert np.allclose(
-                qcore.partial_trace(joint, [1, 2]).entries, rho_b.entries, atol=1e-10
-            )
-
-    def test_trace_preserved(self):
-        epr = qcore.StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-        assert abs(qcore.partial_trace(epr.to_density(), [1]).weight - 1.0) < 1e-12
-
-    def test_invalid_indices(self):
-        with pytest.raises(ValueError, match="invalid"):
-            qcore.partial_trace(ket(0, 0).to_density(), [2])
-
-
 class TestDistances:
     def test_self_distance_zero(self):
         rho = plus_state().to_density()
@@ -466,7 +431,7 @@ class TestDistances:
         assert abs(qcore.fidelity(ket(0), ket(0)) - 1.0) < 1e-12
 
     def test_fidelity_mixed(self):
-        mixed = qcore.DensityMatrix.maximally_mixed(1)
+        mixed = qcore.DensityMatrix(np.eye(2) / 2)
         assert abs(qcore.fidelity(ket(0).to_density(), mixed) - 0.5) < 1e-12
 
 
@@ -480,17 +445,3 @@ def test_unitary_preserves_norm(seed, qubits):
     u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     out = qcore.apply_operator(qcore.LinearOperator(u, unitary=True), state, range(qubits))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_partial_trace_of_product_recovers_factor(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho_a = a @ a.conj().T
-    rho_a = qcore.DensityMatrix(rho_a / np.trace(rho_a))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho_b = b @ b.conj().T
-    rho_b = qcore.DensityMatrix(rho_b / np.trace(rho_b))
-    joint = qcore.tensor_product(rho_a, rho_b)
-    assert np.max(np.abs(qcore.partial_trace(joint, [0]).entries - rho_a.entries)) < 1e-10

@@ -3,6 +3,7 @@
 import itertools
 
 import cloning_oracle
+import gf2_oracle
 import numpy as np
 import pytest
 
@@ -242,7 +243,7 @@ def _quantum_wrong_key_oracle_lam1(outer_pairs):
     total = 0.0
     count = 0
     for k, k_wrong in outer_pairs:
-        for perm in gf2.all_perm_keys(4):
+        for perm in gf2_oracle.all_perm_keys(4):
             inner = uc._inner_key(gf2.pip_eval(perm, k))
             inner_wrong = uc._inner_key(gf2.pip_eval(perm, k_wrong))
             for r_bit in (0, 1):
@@ -278,7 +279,7 @@ class TestWrongKeyDetection:
 
     def test_wrong_key_exact_enumeration_matches_formula(self):
         for lam in (1, 2, 3):
-            enum = uc.wkd_wrong_key_acceptance_exact(lam)
+            enum = cloning_oracle.wkd_wrong_key_acceptance_exact(lam)
             formula = uc.wkd_wrong_key_acceptance_formula(lam)
             assert abs(enum - formula) < 1e-12
 
@@ -290,7 +291,7 @@ class TestWrongKeyDetection:
             ((1, 1, 1, 1), (1, 1, 1, 0)),
         ]
         oracle = _quantum_wrong_key_oracle_lam1(pairs)
-        assert abs(oracle - uc.wkd_wrong_key_acceptance_exact(1)) < 1e-12
+        assert abs(oracle - cloning_oracle.wkd_wrong_key_acceptance_exact(1)) < 1e-12
 
     def test_wrong_key_quantum_spot_checks_lam2(self):
         # per-instance: quantum branch enumeration equals the position product
@@ -502,7 +503,7 @@ class TestProductForm:
         wrong_weight = qcore.DensityMatrix._unchecked(np.eye(4, dtype=complex) / 2, weight=1.0)
         with pytest.raises(ValueError, match="trace"):
             attack.split(wrong_weight)
-        out = attack.split(qcore.DensityMatrix.maximally_mixed(2))
+        out = attack.split(qcore.DensityMatrix(np.eye(4) / 4))
         assert np.all(np.diag(out.entries).real >= 0) and abs(np.trace(out.entries) - 1) < 1e-12
 
     def test_breidbart_split_matches_projector_oracle(self):
