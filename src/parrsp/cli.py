@@ -8,7 +8,7 @@ Subcommands:
 - ``unclonable demo``    cloning-experiment harness
 - ``cp protect|eval|pirate``  copy-protection operations
 - ``qced demo``          delegated-computation pipeline demo
-- ``transcript verify``  independent replay of a recorded session
+- ``transcript verify``  re-run the verifier against a recorded session
 
 Every subcommand accepts ``--json`` (machine-readable single object on
 stdout) and ``--config FILE`` (JSON object supplying any long flag; the
@@ -57,6 +57,12 @@ def _bits(text: str) -> tuple[int, ...]:
 def _port(text: str) -> int:
     if not (text.isascii() and text.isdigit() and 1 <= int(text) <= 65535):
         raise argparse.ArgumentTypeError(f"expected a port number in 1-65535, not {text!r}")
+    return int(text)
+
+
+def _session_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a session count of at least 1, not {text!r}")
     return int(text)
 
 
@@ -127,7 +133,7 @@ def build_parser() -> _Parser:
     common(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=_port, required=True)
-    serve.add_argument("--sessions", type=int, default=1)
+    serve.add_argument("--sessions", type=_session_count, default=1)
     serve.add_argument("--prover", default="honest", choices=provers.PROVER_NAMES)
     serve.set_defaults(func=cmd_rsp_serve)
 
@@ -191,7 +197,7 @@ def build_parser() -> _Parser:
     # transcript ---------------------------------------------------------------
     tr = sub.add_parser("transcript", help="transcript tools")
     tr_sub = tr.add_subparsers(dest="command", required=True)
-    ver = tr_sub.add_parser("verify", help="replay a transcript and compare decisions")
+    ver = tr_sub.add_parser("verify", help="re-run the verifier against a transcript's replies")
     common(ver)
     ver.add_argument("--file", required=True)
     ver.set_defaults(func=cmd_transcript_verify)

@@ -18,7 +18,8 @@ Three layers of interaction, mirrored by three entry points:
 Failures in the trailing partial stretch are logged but do not abort by
 default; ``strict_trailing`` applies the same fraction rule to them.  The
 message parsers, decodings, flags and the block schedule live in
-:mod:`parrsp.rules`, which transcript replay runs as well.
+:mod:`parrsp.rules`.  Replay re-runs this verifier against the recorded
+replies; an abort quotes a reply as canonical JSON, on every transport.
 
 All verifier randomness derives from ``config.seed`` through the seed tree
 (one child per round), so a fixed seed fixes the whole transcript.
@@ -126,15 +127,18 @@ class VerifierSession:
     def _exchange(self, msg: dict, expect: str | None) -> dict | None:
         self.recorder.record("v->p", msg)
         reply = self.prover.handle(msg)
+        if reply is not None:  # recorded before any check, so that replay sees what made an abort
+            reply = reply if isinstance(reply, dict) else {"type": type(reply).__name__}
+            self.recorder.record("p->v", reply)
         if expect is None:
             if reply is not None:
                 raise ProtocolAbort(f"unexpected reply to {msg['type']}")
             return None
-        if not isinstance(reply, dict) or reply.get("type") != expect:
-            raise ProtocolAbort(f"expected {expect} message, got {reply!r}")
+        if reply is None or reply.get("type") != expect:
+            shown = reply and {k: reply[k] for k in reply.keys() - {"dir", "seq"}}  # a transcript overwrites these
+            raise ProtocolAbort(f"expected {expect} message, got {canonical_json(shown)}")
         if type(reply.get("round")) is not int or reply["round"] != msg["round"]:
-            raise ProtocolAbort(f"{expect} for round {reply.get('round')!r}, not {msg['round']}")
-        self.recorder.record("p->v", reply)
+            raise ProtocolAbort(f"{expect} for round {canonical_json(reply.get('round'))}, not {msg['round']}")
         return reply
 
     # -- round drivers ------------------------------------------------

@@ -1,16 +1,16 @@
-"""Verifier decision rules, shared by the live session and transcript replay.
+"""Verifier decision rules, one implementation each.
 
-Each rule has one implementation here: one parser per prover message
-(bits must be JSON integers, hex fields the canonical strings of
-``wire.int_to_hex``); the decoding rule (decode_b under an injective key,
-decode_u under a claw-free one), which gives both a Hadamard test's
-expected answers and the preparation round's v; the preimage test; and the
-session schedule, S blocks of M test rounds and then R - 1 trailing rounds,
-where a block whose failure fraction exceeds delta aborts the session (the
-trailing block only under ``strict_trailing``).  ``protocol.VerifierSession``
-plays these rules against a prover and ``transcript.replay`` re-runs them
-over recorded messages.  A message outside the contract raises
-ProtocolAbort, which replay reports as a TranscriptFormatError.
+One parser per prover message (bits must be JSON integers, hex fields the
+canonical strings of ``wire.int_to_hex``); the decoding rule (decode_b
+under an injective key, decode_u under a claw-free one), which gives both a
+Hadamard test's expected answers and the preparation round's v; the
+preimage test; and the session schedule, S blocks of M test rounds and then
+R - 1 trailing rounds, where a block whose failure fraction exceeds delta
+aborts the session (the trailing block only under ``strict_trailing``).
+``protocol.VerifierSession`` plays these rules against a prover, and
+``transcript.replay`` re-runs that session against the recorded replies.
+A message outside the contract raises ProtocolAbort, whose reason quotes
+a peer's value as canonical JSON, the same on every transport.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class ProtocolAbort(RuntimeError):
 # -- message parsers -------------------------------------------------------
 
 
-def per_copy(msg: dict, field: str, n: int, what: str) -> list:
+def _per_copy(msg: dict, field: str, n: int, what: str) -> list:
     """The list in `field`, which must hold one entry per copy."""
     values = msg.get(field)
-    if not isinstance(values, list) or len(values) != n:
+    if not isinstance(values, (list, tuple)) or len(values) != n:  # a tuple is recorded as a list
         raise ProtocolAbort(f"{msg.get('type')} must carry one {what} per copy")
     return values
 
@@ -56,16 +56,17 @@ def _hexes(values: list, width: int, what: str) -> list[int]:
 
 def _bit(value, what: str) -> int:
     if type(value) is not int or value not in (0, 1):  # no bools, no floats
-        raise ProtocolAbort(f"{what} {value!r} is not a bit")
+        from .transcript import canonical_json  # only an abort needs it
+        raise ProtocolAbort(f"{what} {canonical_json(value)} is not a bit")
     return value
 
 
 def parse_images(msg: dict, n: int, width: int) -> list[int]:
-    return _hexes(per_copy(msg, "y", n, "image"), width + 1, "image")
+    return _hexes(_per_copy(msg, "y", n, "image"), width + 1, "image")
 
 
 def parse_preimages(msg: dict, n: int, width: int) -> list[tuple[int, int]]:
-    pairs = per_copy(msg, "pairs", n, "pair")
+    pairs = _per_copy(msg, "pairs", n, "pair")
     if not all(isinstance(entry, dict) for entry in pairs):
         raise ProtocolAbort("preimage pairs must be objects")
     bits = [_bit(entry.get("b"), "preimage bit") for entry in pairs]
@@ -73,11 +74,11 @@ def parse_preimages(msg: dict, n: int, width: int) -> list[tuple[int, int]]:
 
 
 def parse_equations(msg: dict, n: int, width: int) -> list[int]:
-    return _hexes(per_copy(msg, "d", n, "vector"), width, "equation")
+    return _hexes(_per_copy(msg, "d", n, "vector"), width, "equation")
 
 
 def parse_answers(msg: dict, n: int) -> list[int]:
-    return [_bit(v, "answer") for v in per_copy(msg, "v", n, "bit")]
+    return [_bit(v, "answer") for v in _per_copy(msg, "v", n, "bit")]
 
 
 # -- decisions -------------------------------------------------------------
@@ -117,9 +118,9 @@ def run_schedule(
 ) -> tuple[int | None, str | None]:
     """Play the test rounds of one session, one block at a time.
 
-    ``next_flag()`` plays (or replays) the next test round and returns its
-    flag.  Returns (abort block, reason) for the first failing block, whose
-    rounds are all played first, or (None, None) when every block passes.
+    ``next_flag()`` plays the next test round and returns its flag.
+    Returns (abort block, reason) for the first failing block, whose rounds
+    are all played first, or (None, None) when every block passes.
     """
     for index, size in enumerate(itertools.chain(itertools.repeat(m_blocks, s_blocks), [r_draw - 1])):
         failures = 0

@@ -1,4 +1,4 @@
-"""Transcript persistence and independent replay of verifier decisions.
+"""Transcript persistence, and replay as a re-run of the verifier.
 
 A transcript is a JSON-lines file: one wire message per line, each wrapped
 with its direction and a logical sequence number, followed by one trailing
@@ -13,27 +13,22 @@ session whose transcript nobody reads pays for no encoding.  A prover
 hands over its reply when ``handle()`` returns it: the recorder keeps a
 copy that shares no container with the prover.
 
-Replay re-derives every verifier decision from the recorded messages alone
-(the serialized keys carry the full decoding capability in this backend)
-with the live session's own rules (:mod:`parrsp.rules`).  It reports a
-mismatch, naming the field and the round, for a test round's ``flag``, the
-SUMMARY's ``flags``, ``s_blocks`` and ``r_draw`` against the seed's draws,
-the number of test ``rounds`` against the schedule (fewer only after a
-protocol abort), the ``accepted`` decision, and, in an accepted session,
-the preparation round's ``v`` and the SUMMARY's and FINAL's ``theta``
-against the preparation keys' modes.  A malformed record (a non-integer
-round, bit, width or m, a hex field not in canonical form, a missing
-message) raises TranscriptFormatError.  A live recorder is replayed from
-its encoded lines, exactly as the file it would save.
+Replay re-runs the verifier (``protocol.VerifierSession``), whose records
+depend on its coins and the prover's replies alone, against a playback
+endpoint that answers with the recorded replies.  The SUMMARY gives the
+session parameters, FINAL whether theta is revealed, and the last KEYS
+record's key modes the preparation basis of an accepted session (which
+copy protection chooses); every other coin comes from the seed.  The
+transcript passes only if the re-run writes it record for record, as
+dicts; otherwise the report names the first record it would not have
+written.  A file that is not a transcript raises TranscriptFormatError.
+A live recorder is replayed from its encoded lines, like a saved file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-from . import entcf, rules
-from .wire import bits_to_hex
 
 
 def canonical_json(obj) -> str:
@@ -124,128 +119,82 @@ def _load_lines(source) -> list[dict]:
     return records
 
 
-def _commitment(bundle: dict[str, dict], n: int, width: int):
-    """A round's keys, which are also their trapdoors in this backend, and the parsed images."""
-    keys = [entcf.key_from_wire(k) for k in rules.per_copy(bundle["KEYS"], "keys", n, "key")]
-    return keys, rules.parse_images(bundle["IMAGES"], n, width)
+class _Divergence(Exception):
+    """args[0]: the index of the first record the re-run does not write as the transcript holds it."""
 
 
-def _recompute_flag(bundle: dict[str, dict], n: int, width: int) -> str:
-    """Recompute the verifier flag for one test round from its messages."""
-    keys, images = _commitment(bundle, n, width)
-    round_type = bundle["ROUND_TYPE"]["round_type"]
-    if round_type == rules.PREIMAGE_ROUND:
-        return rules.preimage_flag(keys, images, rules.parse_preimages(bundle["PREIMAGES"], n, width))
-    if round_type != rules.HADAMARD_ROUND:
-        raise TranscriptFormatError(f"unknown round type {round_type!r}")
-    equations = rules.parse_equations(bundle["EQUATIONS"], n, width)
-    return rules.hadamard_flag(keys, images, equations, rules.parse_answers(bundle["ANSWERS"], n))
+class _Playback:
+    """The prover end of a re-run: it checks what the re-run wrote so far, then answers with the recorded reply."""
+
+    def __init__(self, records: list[dict], written: list[dict]):
+        self.records, self.written, self.checked = records, written, 0
+
+    def check(self) -> None:
+        for i in range(self.checked, len(self.written)):
+            if i == len(self.records) or self.written[i] != self.records[i]:
+                raise _Divergence(i)
+        self.checked = len(self.written)
+
+    def handle(self, msg: dict) -> dict | None:
+        self.check()
+        reply = self.records[self.checked] if self.checked < len(self.records) else {}
+        return reply if reply.get("dir") == "p->v" else None  # the re-run's recorder rewrites dir and seq
+
+
+def _rounds_matched(written: list[dict]) -> int:
+    """Rounds complete in a prefix of the re-run's records: each later KEYS, and FINAL, closes one."""
+    return max(0, sum(m.get("dir") == "v->p" and m["type"] in ("KEYS", "FINAL") for m in written) - 1)
+
+
+def _divergence(records: list[dict], written: list[dict], i: int) -> ReplayReport:
+    recorded, recomputed = records[i] if i < len(records) else {}, written[i] if i < len(written) else {}
+    # "type" first; tuples compare their items as dicts compare values, so a NaN equals itself
+    name = next((k for k in sorted(recorded.keys() | recomputed.keys(), key=lambda k: (k != "type", k))
+                 if (k in recorded, recorded.get(k)) != (k in recomputed, recomputed.get(k))), None)
+    first = {"round": recomputed.get("round", recorded.get("round")), "field": name,
+             "type": recomputed.get("type", recorded.get("type")),
+             "recorded": recorded.get(name), "recomputed": recomputed.get(name)}
+    note = f"first divergence: round {first['round']}, {first['type']}.{name}"
+    return ReplayReport(ok=False, mismatches=[first], note=note, rounds_checked=_rounds_matched(written[:i]))
+
+
+def _prep_theta(records: list[dict], n: int) -> list[int] | None:
+    """The key modes of the last KEYS record, or None (the seed's draw) if it holds no n modes."""
+    keys = next((r.get("keys") for r in reversed(records) if r.get("type") == "KEYS"), None)
+    modes = [key.get("mode") for key in keys if isinstance(key, dict)] if isinstance(keys, list) else []
+    return modes if len(modes) == n and all(type(m) is int and m in (0, 1) for m in modes) else None
 
 
 def replay(source) -> ReplayReport:
-    """Recompute all verifier decisions and compare with the recorded ones.
+    """Re-run the verifier against the recorded replies; report the first record it would not have written.
 
-    A record of the wrong type or shape raises TranscriptFormatError.
+    TranscriptFormatError: a line that is not a JSON object, no SUMMARY last, or parameters MultiRoundConfig refuses.
     """
+    from .protocol import MultiRoundConfig, VerifierSession  # protocol imports this module
+
     records = _load_lines(source)
-    try:
-        return _replay_records(records)
-    except TranscriptFormatError:
-        raise
-    except (rules.ProtocolAbort, TypeError, ValueError, KeyError) as exc:  # entcf.DecodeError is a ValueError
-        raise TranscriptFormatError(f"malformed transcript: {type(exc).__name__}: {exc}") from exc
-
-
-def _replay_records(records: list[dict]) -> ReplayReport:
-    summary = records[-1]
-    if summary.get("type") != "SUMMARY":
-        raise TranscriptFormatError("transcript does not end with a SUMMARY record")
-    messages = records[:-1]
-    config = summary["config"]
-    n, width, m_blocks, seed, delta = (config[key] for key in ("n", "width", "m", "seed", "delta"))
+    summary, config = records[-1], records[-1].get("config")
+    if summary.get("type") != "SUMMARY" or not isinstance(config, dict):
+        raise TranscriptFormatError("transcript does not end with a SUMMARY record of the session parameters")
+    n, width, m_blocks, seed, delta = (config.get(key) for key in ("n", "width", "m", "seed", "delta"))
     if any(type(v) is not int for v in (n, width, m_blocks, seed)) or type(delta) not in (int, float):
         raise TranscriptFormatError("session parameters n, width, m and seed must be integers")
-    from .protocol import MultiRoundConfig  # protocol imports this module
+    reveal_theta = any(r.get("type") == "FINAL" and "theta" in r for r in records)
     try:
-        MultiRoundConfig(n=n, m_blocks=m_blocks, delta=delta, width=width, seed=seed)
+        config = MultiRoundConfig(n=n, m_blocks=m_blocks, delta=delta, width=width, seed=seed,
+                                  strict_trailing=config.get("strict_trailing") is True, reveal_theta=reveal_theta)
     except ValueError as exc:
         raise TranscriptFormatError(f"session parameters out of range: {exc}") from None
-    protocol_abort = str(summary.get("abort_reason") or "").startswith("protocol abort")
-    report = ReplayReport(ok=True)
-
-    def mismatch(round_index, name: str, recorded, recomputed) -> None:
-        report.mismatches.append({"round": round_index, "field": name, "recorded": recorded, "recomputed": recomputed})
-
-    rounds: dict[int, dict[str, dict]] = {}
-    for msg in messages:
-        if "round" in msg:  # FINAL has none
-            if type(msg["round"]) is not int:
-                raise TranscriptFormatError(f"round {msg['round']!r} is not an integer")
-            rounds.setdefault(msg["round"], {})[msg["type"]] = msg
-    test_flags: list[str] = []
-    prep_round = None
-    for idx in sorted(rounds):
-        bundle = rounds[idx]
-        required = {"KEYS", "IMAGES", "ROUND_TYPE"}
-        if not required <= bundle.keys():
-            if protocol_abort and idx == max(rounds):
-                continue  # the prover reply that ended the session was rejected unrecorded
-            raise TranscriptFormatError(f"round {idx} is missing {required - bundle.keys()}")
-        if "VERDICT" not in bundle:
-            prep_round = idx
-            continue
-        test_flags.append(_recompute_flag(bundle, n, width))
-        if bundle["VERDICT"]["flag"] != test_flags[-1]:
-            mismatch(idx, "flag", bundle["VERDICT"]["flag"], test_flags[-1])
-    report.rounds_checked = len(test_flags)
-    if summary.get("flags") != test_flags:
-        mismatch(None, "flags", summary.get("flags"), test_flags)
-
-    # replay the session schedule over the recomputed flags
-    s_blocks, r_draw, _ = rules.session_draws(seed, m_blocks)
-    for name, drawn in (("s_blocks", s_blocks), ("r_draw", r_draw)):
-        if summary.get(name) != drawn:
-            mismatch(None, name, summary.get(name), drawn)
-    played = 0
-
-    def replay_round() -> str:
-        nonlocal played
-        if played == len(test_flags):
-            raise rules.ProtocolAbort("the schedule plays more test rounds than were recorded")
-        played += 1
-        return test_flags[played - 1]
-
+    rerun = TranscriptRecorder()
+    written, playback = rerun._messages, _Playback(records, rerun._messages)
     try:
-        abort_block, _ = rules.run_schedule(
-            m_blocks, s_blocks, r_draw, delta, bool(config.get("strict_trailing", False)), replay_round
-        )
-        scheduled = played
-    except rules.ProtocolAbort:
-        abort_block, scheduled = -1, f"more than {played}"
-    if scheduled != len(test_flags) and not (protocol_abort and abort_block == -1):
-        mismatch(None, "rounds", len(test_flags), scheduled)  # fewer only after a protocol abort
-    accepted = abort_block is None and not protocol_abort
-    if summary["accepted"] is not accepted:
-        mismatch(None, "accepted", summary["accepted"], accepted)
-
-    if accepted:
-        if prep_round is None:
-            raise TranscriptFormatError("accepted run lacks a preparation round")
-        keys, images = _commitment(rounds[prep_round], n, width)
-        equations = rules.parse_equations(rounds[prep_round]["EQUATIONS"], n, width)
-        v = bits_to_hex(rules.decode_all(keys, images, equations))
-        theta = bits_to_hex([key.mode for key in keys])
-        final = next((msg for msg in messages if msg.get("type") == "FINAL"), {})
-        for name, recorded, recomputed in (
-            ("v", summary.get("v"), v),
-            ("theta", summary.get("theta"), theta),
-            ("theta", final.get("theta", theta), theta),
-        ):
-            if recorded != recomputed:
-                mismatch(prep_round, name, recorded, recomputed)
-        report.rounds_checked += 1
-
-    report.ok = not report.mismatches
-    if not report.ok:
-        report.note = f"{len(report.mismatches)} divergence(s)"
-    return report
+        VerifierSession(config, playback, rerun).run_multi_round(
+            _prep_theta(records, n) if summary.get("accepted") is True else None)
+        playback.check()
+        if len(records) > len(written):
+            raise _Divergence(len(written))
+    except _Divergence as exc:
+        return _divergence(records, written, exc.args[0])
+    except RecursionError:  # no session could have recorded it either
+        raise TranscriptFormatError("a reply is nested too deeply to record") from None
+    return ReplayReport(ok=True, rounds_checked=_rounds_matched(written))

@@ -98,31 +98,38 @@ class TestTranscriptVerify:
         assert payload["mismatches"]
 
     @pytest.mark.parametrize(
-        "rtype, field, value",
+        "rtype, field, value, code",
         [
-            ("KEYS", "keys", 5),
-            ("KEYS", "keys", [{"mode": 0}]),
-            ("SUMMARY", "config", 5),
-            ("SUMMARY", "config", {"n": 2, "m": 0, "delta": 0.05, "width": 4, "seed": 9}),
+            # a verifier message the re-run would not have written is a divergence (exit 2)
+            ("KEYS", "keys", 5, 2),
+            ("KEYS", "keys", [{"mode": 0}], 2),
+            # session parameters that cannot start a re-run are a format error (exit 1)
+            ("SUMMARY", "config", 5, 1),
+            ("SUMMARY", "config", {"n": 2, "m": 0, "delta": 0.05, "width": 4, "seed": 9}, 1),
         ],
         ids=["keys-int", "key-missing-fields", "config-int", "config-m-zero"],
     )
-    def test_malformed_record_exits_1(self, capsys, tmp_path, rtype, field, value):
+    def test_malformed_record_exits_1(self, capsys, tmp_path, rtype, field, value, code):
         path = self._write_run(capsys, tmp_path)
         records = [json.loads(l) for l in path.read_text().splitlines()]
         target = next(r for r in records if r["type"] == rtype)
         target[field] = value
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(path))
-        assert code == 1
-        assert payload["ok"] is False and payload["error"]
+        exit_code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(path))
+        assert exit_code == code and payload["ok"] is False
+        if code == 1:
+            assert payload["error"]
+        else:
+            assert payload["mismatches"][0]["round"] == 0 and payload["mismatches"][0]["type"] == "KEYS"
 
     @pytest.mark.parametrize(
-        "rtype, path",
-        [("IMAGES", ("round",)), ("SUMMARY", ("config", "width")), ("SUMMARY", ("config", "m"))],
+        "rtype, path, code",
+        # a reply's round is the prover's word: the re-run aborts on it where the live verifier
+        # went on, a divergence (exit 2); a session parameter is a format error (exit 1)
+        [("IMAGES", ("round",), 2), ("SUMMARY", ("config", "width"), 1), ("SUMMARY", ("config", "m"), 1)],
         ids=["round", "width", "m"],
     )
-    def test_overflowing_number_exits_1(self, capsys, tmp_path, rtype, path):
+    def test_overflowing_number_exits_1(self, capsys, tmp_path, rtype, path, code):
         # 1e999 reads as float infinity; int() of it raises OverflowError
         trans = self._write_run(capsys, tmp_path)
         records = [json.loads(l) for l in trans.read_text().splitlines()]
@@ -131,9 +138,12 @@ class TestTranscriptVerify:
             target = target[key]
         target[path[-1]] = "@huge@"
         trans.write_text("".join(json.dumps(r).replace('"@huge@"', "1e999") + "\n" for r in records))
-        code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(trans))
-        assert code == 1
-        assert payload["ok"] is False and payload["error"]
+        exit_code, payload, _ = run_json(capsys, "transcript", "verify", "--file", str(trans))
+        assert exit_code == code and payload["ok"] is False
+        if code == 1:
+            assert payload["error"]
+        else:
+            assert payload["mismatches"][0]["round"] == 0
 
     def test_garbage_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -466,6 +476,15 @@ class TestMalformedArguments:
         assert code == 1
         assert "Traceback" not in err
         assert "1-65535" in err
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("sessions", ["0", "-1"])
+    def test_serve_sessions_below_one_exits_1(self, sessions):
+        code, out, err, elapsed, _ = TestOutOfRangeSizes.run_child(
+            "rsp", "serve-prover", "--port", "45871", "--sessions", sessions, "--json")
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "at least 1" in err
         assert elapsed < 2.0
 
     @pytest.mark.parametrize(

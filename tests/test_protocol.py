@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from parrsp import entcf, protocol, provers, qcore, transcript, wire
+from parrsp import cli, entcf, protocol, provers, qcore, transcript, wire
 from parrsp.seeds import derive_seed
 
 
@@ -465,6 +465,13 @@ class TestTranscriptReplay:
         with pytest.raises(transcript.TranscriptFormatError):
             transcript.replay(path)
 
+    def test_reply_too_deep_to_record_is_format_error(self):
+        lines = self._run().transcript.lines
+        idx = next(i for i, l in enumerate(lines) if '"IMAGES"' in l)
+        lines[idx] = lines[idx][:-1] + ',"extra":' + "[" * 500 + "]" * 500 + "}"
+        with pytest.raises(transcript.TranscriptFormatError, match="nested"):
+            transcript.replay(lines)
+
     def test_replay_strict_mode_run(self):
         res = protocol.run_multi_round(
             config(n=1, m=3, seed=17, strict_trailing=True), provers.HonestProver(seed=17)
@@ -525,14 +532,17 @@ class TestStrictWireTypes:
         assert transcript.replay(res.transcript).ok
 
     def test_non_canonical_hex_in_transcript_is_format_error(self):
+        # the re-run aborts on the recorded reply, as the live verifier would have: its FINAL
+        # stands where the transcript goes on with the round
         res = _find_session(lambda r: r.accepted)
         lines = res.transcript.lines
         idx = next(i for i, l in enumerate(lines) if '"IMAGES"' in l)
         msg = json.loads(lines[idx])
         msg["y"][0] = "0" + msg["y"][0]
         lines[idx] = transcript.canonical_json(msg)
-        with pytest.raises(transcript.TranscriptFormatError):
-            transcript.replay(lines)
+        report = transcript.replay(lines)
+        assert not report.ok
+        assert report.mismatches[0]["round"] == msg["round"] and report.mismatches[0]["type"] == "FINAL"
 
 
 def _edit(lines, record_type, **changes):
@@ -571,8 +581,68 @@ class TestReplaySessionShape:
         # keep the summary's flag list consistent with what is left
         flags = [f for i, f in enumerate(res.flags) if i not in gone]
         report = transcript.replay(_edit(kept, "SUMMARY", flags=flags))
-        assert not report.ok and "rounds" in _fields(report)
+        # the re-run's round 0 KEYS stands where the transcript holds a later round's
+        assert not report.ok and report.mismatches[0]["round"] == 0 and report.mismatches[0]["type"] == "KEYS"
 
+
+
+class ForcedPreimageVerifier(protocol.VerifierSession):
+    """A forger: the live verifier, except that every test round is a preimage round."""
+
+    def run_test_round(self, round_index, force_round_type=None):
+        return super().run_test_round(round_index, protocol.PREIMAGE_ROUND)
+
+
+def _verify_cli(capsys, path):
+    """Exit code and JSON output of `transcript verify` on a file."""
+    code = cli.main(["transcript", "verify", "--file", str(path), "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestReplayForgeries:
+    """Transcripts the verifier never wrote, which a replay trusting the recorded verifier messages passed."""
+
+    @pytest.mark.parametrize("strategy", ["wrong_basis", "constant_v"])
+    def test_forced_preimage_acceptance(self, strategy, capsys, tmp_path):
+        cfg = config(n=2, m=4, delta=0.2, seed=0)
+        assert not protocol.run_multi_round(cfg, provers.cheating_prover(strategy, 0)).accepted
+        forged = ForcedPreimageVerifier(cfg, provers.cheating_prover(strategy, 0)).run_multi_round()
+        assert forged.accepted
+        report = transcript.replay(forged.transcript)
+        assert not report.ok
+        assert report.mismatches[0] == {"round": 1, "type": "ROUND_TYPE", "field": "round_type",
+                                        "recorded": "preimage", "recomputed": "hadamard"}
+        forged.transcript.save(tmp_path / "t.jsonl")
+        code, payload = _verify_cli(capsys, tmp_path / "t.jsonl")
+        assert code == 2 and payload["mismatches"] == report.mismatches
+
+    def test_forged_abort_of_an_accepted_session(self, capsys, tmp_path):
+        res = protocol.run_multi_round(config(n=2, m=4, delta=0.2, seed=5), provers.HonestProver(seed=5))
+        assert res.accepted
+        lines = [l for l in res.transcript.lines if json.loads(l)["type"] != "FINAL"]
+        lines = _edit(lines, "SUMMARY", accepted=False, abort_reason="protocol abort: forged")
+        report = transcript.replay(lines)
+        # the re-run accepts and writes FINAL where the forgery goes straight to its SUMMARY
+        assert not report.ok
+        assert report.mismatches[0] == {"round": None, "type": "FINAL", "field": "type",
+                                        "recorded": "SUMMARY", "recomputed": "FINAL"}
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        assert _verify_cli(capsys, tmp_path / "t.jsonl")[0] == 2
+
+    def test_deleted_last_round_of_a_block_abort(self, capsys, tmp_path):
+        res = next(r for r in (
+            protocol.run_multi_round(config(n=1, m=4, seed=seed), provers.AlwaysWrongProver(seed=seed))
+            for seed in range(40)) if r.abort_block is not None and r.abort_block > 0)
+        last = len(res.flags) - 1
+        kept = [l for l in res.transcript.lines if json.loads(l).get("round") != last]
+        lines = _edit(kept, "SUMMARY", flags=res.flags[:-1], abort_reason="protocol abort: edited")
+        report = transcript.replay(lines)
+        # the re-run plays the deleted round: its KEYS stands where the transcript holds FINAL
+        assert not report.ok
+        assert report.mismatches[0] == {"round": last, "type": "KEYS", "field": "type",
+                                        "recorded": "FINAL", "recomputed": "KEYS"}
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        assert _verify_cli(capsys, tmp_path / "t.jsonl")[0] == 2
 
 class TestProverServerErrors:
     BAD_KEYS = {"type": "KEYS", "session": "s", "round": 0, "keys": [{"mode": 0}]}
@@ -613,6 +683,28 @@ class TestProverServerErrors:
         assert not res.accepted and res.abort_block == -1
         assert "ERROR" in res.abort_reason and "cannot answer" in res.abort_reason
         assert transcript.replay(res.transcript).ok
+
+    def test_abort_reason_reads_the_same_over_a_socket(self):
+        class WrongReplyToKeys(provers.HonestProver):
+            # unsorted keys and a tuple: a repr of this reply differs from one of its JSON decoding
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if msg["type"] == "KEYS":
+                    return {"type": "WRONG", "round": msg["round"], "y": tuple(reply["y"])}
+                return reply
+
+        cfg = config(n=2, m=3, seed=42)
+        local = protocol.run_multi_round(cfg, WrongReplyToKeys(seed=5))
+        server, client = socket.socketpair()
+        with server, client:
+            client.settimeout(10)
+            thread = threading.Thread(target=wire.serve_prover_connection, args=(server, WrongReplyToKeys(seed=5)))
+            thread.start()
+            remote = protocol.run_multi_round(cfg, wire.SocketProverClient(client))
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert remote.transcript.to_bytes() == local.transcript.to_bytes()
+        assert local.abort_reason.startswith('protocol abort: expected IMAGES message, got {"round":0,')
 
     def test_server_goes_on_to_next_session(self):
         probe = socket.socket()

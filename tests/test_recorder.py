@@ -107,6 +107,20 @@ def test_prover_edits_after_handle_do_not_reach_the_transcript():
     assert result.transcript.to_bytes() == eager.to_bytes() == honest.transcript.to_bytes()
 
 
+class TupleProver(provers.HonestProver):
+    """Honest, but every list in its replies is a tuple, which a transcript records as a list."""
+
+    def handle(self, msg):
+        reply = super().handle(msg)
+        return reply and {k: tuple(v) if isinstance(v, list) else v for k, v in reply.items()}
+
+
+def test_tuples_in_a_reply_decide_as_the_lists_they_are_recorded_as():
+    result = protocol.run_multi_round(config(0, m=4), TupleProver(3))
+    honest = protocol.run_multi_round(config(0, m=4), provers.HonestProver(3))
+    assert result.accepted and result.transcript.to_bytes() == honest.transcript.to_bytes()
+
+
 def test_editing_the_result_flags_leaves_the_summary():
     result = protocol.run_multi_round(config(2), provers.HonestProver(4))
     before = result.transcript.to_bytes()
