@@ -263,13 +263,12 @@ def cmd_rsp_diagnose(args) -> int:
         "anticommutation": [diagnostics.anticommutation_value(device, i) for i in range(args.n)],
         "success_relation_max_gap": diagnostics.success_relations_report(device)["max_gap"],
         "structure": diagnostics.validate_device(device),
-    }
-    if args.n <= 2:
-        payload["isometry_relation_gap"] = diagnostics.isometry_relation_gap(device)
-        payload["bb84_max_distance"] = max(
+        "isometry_relation_gap": diagnostics.isometry_relation_gap(device),
+        "bb84_max_distance": max(
             diagnostics.bb84_report(device, theta)["max_distance"]
             for theta in itertools.product((0, 1), repeat=args.n)
-        )
+        ),
+    }
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("a,b,value_re,value_im,expected,deviation\n")

@@ -7,7 +7,7 @@ answers, question answers).  Here devices are built from the honest prover
 in a compressed representation and optionally perturbed, and a battery of
 diagnostics evaluates the success probabilities, binary-observable
 relations, Pauli-group behavior, rounding isometries, and the BB84 product
-form on explicit (small) matrices.
+form exactly, for up to MAX_DIAG_COPIES copies.
 
 Representation.  Per copy the committed space is compressed to dimension
 2, spanned by the two preimage branches of the returned image; the
@@ -18,7 +18,7 @@ classical mixture: with weight p_0 it answers honestly, and with weight p_j
 That ancilla index j is classical, so it is a weight list and not a tensor
 factor: every operator the diagnostics use is block-diagonal in j.  A
 `BlockObservable` holds its honest 2^n x 2^n block plus one scalar per
-forced answer, and a `BlockIsometry` yields one block per index.
+forced answer, and a `BlockIsometry` is one block of a rounding isometry.
 Expectations are p-weighted sums over j, trace norms are sums over j, and
 operator norms are maxima over j; every perturbed quantity is an exact
 expectation (no sampling noise).
@@ -31,20 +31,25 @@ blocks sigma^(theta, v) = W(v) (x)_i rho_i(v_i), where rho_i(v_i) is the
 BB84 projector H^theta_i |v_i><v_i| H^theta_i and the class weight W(v) is
 a product of per-copy weights.  Every sign the diagnostics use (the Xtilde
 sign, the sign-corrected isometry, the anticommutation sign) is a function
-of v alone, so they all evaluate on `Device.sigma_by_v`, cached per theta.
+of v alone, so each evaluates on the class blocks (`Device.sigma_by_v`,
+cached per theta) or on their weights (`Device.class_weights`).
 The post-commitment state is a product over copies as well, so the
 preimage-round pass probability and the structural checks of
 `validate_device` are per-copy sums.  The per-(y, d) blocks on the
 committed x ancilla space, from which all of this follows, are built only
 in the test suite, as the reference the class form is checked against.
 
-The 4^n Pauli-twirl terms of the rounding isometry depend on the device
-alone, so `Device.rounding_terms` builds them once, as `sigma_by_v` does
-the class blocks, and every isometry of the device sums over those terms.
+Per-copy rounding.  Each ancilla block of the rounding isometry V (a sum
+of 4^n Pauli twirls), of Vtilde, and of a class state is a product over
+copies: block j of V is one 8 x 2 map per copy (`copy_factor`, the honest
+or the forced-answer twirl) applied to H^theta_i |v_i>.  A block's gap and
+BB84 distance depend only on the multiset of per-copy types, each
+evaluated once per process; the dense V is a test-suite reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,11 +101,6 @@ class BlockObservable:
         """The largest entry modulus of the operator."""
         return float(max(np.max(np.abs(self.honest)), np.max(np.abs(self.forced), initial=0.0)))
 
-    def blocks(self) -> list[np.ndarray]:
-        """The dense block of every ancilla index, honest first."""
-        eye = np.eye(len(self.honest), dtype=complex)
-        return [self.honest] + [value * eye for value in self.forced]
-
 
 class Device:
     """Compressed-representation device with one key tuple per mode."""
@@ -116,7 +116,6 @@ class Device:
         if abs(self.anc_probs.sum() - 1.0) > 1e-12:
             raise ValueError("ancilla probabilities must sum to 1")
         self._sigma_by_v: dict[tuple[int, ...], dict[tuple[int, ...], np.ndarray]] = {}
-        self._rounding_terms: tuple | None = None
 
     # -- dimensions -----------------------------------------------------
 
@@ -130,15 +129,12 @@ class Device:
 
     # -- per-copy structure ----------------------------------------------
 
-    def _pair(self, mode: int, copy: int) -> entcf.EntcfKey:
-        return self.keypairs[mode][copy]
-
     def copy_y_list(self, mode: int, copy: int) -> list[tuple[int, float, int]]:
         """Honest (y, weight, bit) triples for one copy; the committed qubit is H^mode |bit>.
 
         An injective image holds |b_hat(y)>, a claw-free one the claw state |+>.
         """
-        kp = self._pair(mode, copy)
+        kp = self.keypairs[mode][copy]
         w = self.width
         if mode == entcf.INJECTIVE:
             return [(y, 2.0 ** -(w + 1), entcf.decode_b(kp.trapdoor, y)) for y in range(2 ** (w + 1))]
@@ -160,40 +156,39 @@ class Device:
         ]
 
     def copy_u(self, copy: int, d: int) -> int:
-        kp = self._pair(entcf.CLAW_FREE, copy)
-        return _parity(d & kp.trapdoor.delta)
+        return _parity(d & self.keypairs[entcf.CLAW_FREE][copy].trapdoor.delta)
 
     def copy_kraus(self, mode: int, copy: int, y: int, d: int) -> np.ndarray:
         """Compressed equation-measurement Kraus factor for one copy."""
-        kp = self._pair(mode, copy)
-        signs = []
-        for b in (0, 1):
-            x = entcf.decode_x(kp.trapdoor, y, b)
-            signs.append((-1.0) ** _parity(d & x))
+        trapdoor = self.keypairs[mode][copy].trapdoor
+        signs = [(-1.0) ** _parity(d & entcf.decode_x(trapdoor, y, b)) for b in (0, 1)]
         return np.diag(signs).astype(complex) * 2.0 ** (-self.width / 2.0)
 
     # -- the post-equation state --------------------------------------------
 
+    def class_weights(self, theta_vec: Sequence[int]) -> dict[tuple[int, ...], float]:
+        """Decoded string v_vec -> the class weight W(v), a product of per-copy sums over `copy_terms`."""
+        per_copy = [[0.0, 0.0] for _ in theta_vec]
+        for i, theta in enumerate(theta_vec):
+            for _, _, bit, weight in self.copy_terms(theta, i):
+                per_copy[i][bit] += weight
+        products = itertools.product((0, 1), repeat=self.n)
+        return {v_vec: float(np.prod([w[v] for w, v in zip(per_copy, v_vec)])) for v_vec in products}
+
     def sigma_by_v(self, theta_vec: Sequence[int]) -> dict[tuple[int, ...], np.ndarray]:
         """Class form of sigma: decoded string v_vec -> sigma^(theta, v), cached per theta.
 
-        A class block is the BB84 projector of v_vec weighted by the product
-        of per-copy class weights (sums over `copy_terms`).  It is the same
-        on every ancilla index; `trace` applies the ancilla weights.  Every
-        caller shares the cached blocks, so they are read-only arrays.
+        A class block is the BB84 projector of v_vec times its class weight.
+        It is the same on every ancilla index; `trace` applies the ancilla
+        weights.  Every caller shares the cached blocks, so they are
+        read-only arrays.
         """
         theta_vec = tuple(theta_vec)
         if theta_vec not in self._sigma_by_v:
-            weights = []
-            for i, theta in enumerate(theta_vec):
-                per_bit = [0.0, 0.0]
-                for _, _, bit, weight in self.copy_terms(theta, i):
-                    per_bit[bit] += weight
-                weights.append(per_bit)
             classes = {}
-            for v_vec in itertools.product((0, 1), repeat=self.n):
+            for v_vec, weight in self.class_weights(theta_vec).items():
                 ket = qcore.BB84Product(v_vec, theta_vec).to_state().amplitudes
-                block = float(np.prod([w[v] for w, v in zip(weights, v_vec)])) * np.outer(ket, ket.conj())
+                block = weight * np.outer(ket, ket.conj())
                 block.setflags(write=False)
                 classes[v_vec] = block
             self._sigma_by_v[theta_vec] = classes
@@ -203,12 +198,6 @@ class Device:
         """Tr[op sigma] for a class block sigma: ancilla index j weighs p_j."""
         honest = np.einsum("ij,ji->", op.honest, block)
         return complex(self.anc_probs[0] * honest + (self.anc_probs[1:] @ op.forced) * np.trace(block))
-
-    def v_parity(self, theta_vec, v_vec, a: Sequence[int]) -> int:
-        """Xtilde sign bit a . v_vec of a decoded string; needs theta_i = 1 where a_i = 1."""
-        if any(ai and theta != 1 for theta, ai in zip(theta_vec, a)):
-            raise ValueError("Xtilde sign needs a claw-free key wherever a_i = 1")
-        return _dot(v_vec, a)
 
     # -- measurements ------------------------------------------------------
 
@@ -229,31 +218,6 @@ class Device:
         a_int = qcore.bits_to_index(a)
         forced = np.array([(-1.0) ** _parity(answer & a_int) for answer in self.anc_answers])
         return BlockObservable(honest, forced)
-
-    def rounding_terms(self) -> tuple[tuple[tuple[int, ...], tuple[np.ndarray, ...]], ...]:
-        """The 4^n rounding-isometry terms (a, columns), cached as read-only arrays.
-
-        Term (a, b) holds, per ancilla index j, block j of X(a) Z(b) tensored
-        with the column (sigma_X^a sigma_Z^b (x) 1)|EPR>.
-        """
-        n = self.n
-        if n > 2:
-            raise ValueError("rounding isometries are limited to 2 copies")
-        if self._rounding_terms is None:
-            epr = np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)  # maximally entangled on A x Q
-            terms = []
-            for a in itertools.product((0, 1), repeat=n):
-                x = self.observable_matrix("X", a)
-                for b in itertools.product((0, 1), repeat=n):
-                    z = self.observable_matrix("Z", b)
-                    pauli = qcore.pauli_string(a, b).entries
-                    w = (qcore.kron(pauli, np.eye(2**n, dtype=complex)) @ epr).reshape(-1, 1)
-                    columns = tuple(qcore.kron(block, w) for block in (x @ z).blocks())
-                    for column in columns:
-                        column.setflags(write=False)
-                    terms.append((a, columns))
-            self._rounding_terms = tuple(terms)
-        return self._rounding_terms
 
 
 def device_from_honest(n: int, width: int, rng: np.random.Generator) -> Device:
@@ -412,108 +376,122 @@ def anticommutation_value(device: Device, i: int) -> float:
 
 # -- rounding isometries ---------------------------------------------------
 
-
-@dataclass
-class BlockIsometry:
-    """Isometry from the device space into device x A x Q, one block per ancilla index."""
-
-    device: Device
-    use_tilde: bool
-    base_terms: tuple  # Device.rounding_terms(): [(a, one column block per ancilla index)]
-
-    def matrix_for_v(self, theta_vec, v_vec) -> list[np.ndarray]:
-        """The blocks shared by every (y, d) block decoded as v_vec (any v_vec without use_tilde)."""
-        signs = [
-            (-1.0) ** self.device.v_parity(theta_vec, v_vec, a) if self.use_tilde else 1.0
-            for a, _ in self.base_terms
-        ]
-        return [
-            sum(s * columns[j] for s, (_, columns) in zip(signs, self.base_terms)) / 2**self.device.n
-            for j in range(self.device.anc_dim)
-        ]
+# 1 (x) sigma_Z^u (x) sigma_Z^u on one copy's (c, A, Q), for u = 0 and 1
+_SIGMA_Z_AQ = (np.eye(8), np.diag([1.0, -1.0, -1.0, 1.0] * 2))
 
 
-def rounding_isometry(device: Device, use_tilde: bool) -> BlockIsometry:
-    """The explicit Pauli-twirl isometry over all 4^n observable pairs.
+@functools.cache
+def copy_factor(answer: int | None, u: int) -> np.ndarray:
+    """One copy's 8 x 2 factor of a rounding isometry, c -> (c, A, Q); read-only and real.
 
-    Normalization 2^-n * sum (not the plain average) makes V^dag V = 1.
+    1/2 sum_{a,b} (-1)^(a u) O(a, b) (x) (sigma_X^a sigma_Z^b (x) 1)|EPR>_AQ, where
+    O(a, b) is X^a Z^b on the honest ancilla index (answer None) and the sign
+    (-1)^((a + b) answer) of a forced answer; u = 0 for V, the decoded bit for Vtilde.
     """
-    return BlockIsometry(device=device, use_tilde=use_tilde, base_terms=device.rounding_terms())
+    epr = np.eye(2).reshape(-1) / np.sqrt(2.0)
+    factor = np.zeros((8, 2))
+    for a, b in itertools.product((0, 1), repeat=2):
+        pauli = qcore.pauli_string((a,), (b,)).entries.real
+        op = pauli if answer is None else (-1.0) ** ((a + b) * answer) * np.eye(2)
+        factor += (-1.0) ** (a * u) * qcore.kron(op, (qcore.kron(pauli, np.eye(2)) @ epr)[:, None]) / 2
+    factor.setflags(write=False)
+    return factor
+
+
+def _block_answers(device: Device) -> list[tuple[int | None, ...]]:
+    """Per ancilla index, each copy's answer: None on the honest index, a bit of the forced answer elsewhere."""
+    return [(None,) * device.n] + [qcore.index_to_bits(answer, device.n) for answer in device.anc_answers]
+
+
+@dataclass(frozen=True, eq=False)
+class BlockIsometry:
+    """One ancilla block of a rounding isometry: the tensor product of one `copy_factor` per copy.
+
+    Its output factors are reordered from (c_i, A_i, Q_i) per copy to
+    (c, A, Q); that is unitary, so norms need only the factors.
+    """
+
+    factors: tuple[np.ndarray, ...]
+
+    def distance(self, other: BlockIsometry) -> float:
+        """Operator norm of the difference: [A_i B_i] = Q_i [R_i S_i] per copy, ||(x)R_i - (x)S_i||.
+
+        Formed entry by entry: 2 - 2 <A, B> from Gram matrices would leave
+        rounding dust under the square root, a gap of 1e-8 where there is none.
+        """
+        rs = [np.linalg.qr(np.hstack([a, b]), mode="r") for a, b in zip(self.factors, other.factors)]
+        diff = qcore.kron(*[r[:, :2] for r in rs]) - qcore.kron(*[r[:, 2:] for r in rs])
+        return float(np.sqrt(max(np.linalg.eigvalsh(diff.T @ diff)[-1], 0.0)))
+
+
+@functools.cache
+def _relation_gap(types: tuple[tuple[int | None, int], ...]) -> float:
+    """||V - sigma_Z(u)_A sigma_Z(u)_Q Vtilde|| on a block with these sorted per-copy (answer, u_i)."""
+    v = BlockIsometry(tuple(copy_factor(answer, 0) for answer, _ in types))
+    return v.distance(BlockIsometry(tuple(_SIGMA_Z_AQ[u] @ copy_factor(answer, u) for answer, u in types)))
 
 
 def isometry_relation_gap(device: Device) -> float:
     """Max operator-norm gap of V = sigma_Z(u)_A sigma_Z(u)_Q Vtilde per block.
 
     A block's Vtilde and correction depend on it only through its decoded
-    string u, and V on nothing, so the maximum runs over the 2^n classes.
-    Both sides are block-diagonal in the ancilla index, so the operator
-    norm is the largest over those blocks.
+    string u, and V on nothing, so the maximum runs over the 2^n classes
+    and, the operators being block-diagonal, over the ancilla blocks.
     """
-    n = device.n
-    theta1 = (1,) * n
-    zeros = (0,) * n
-    v_blocks = rounding_isometry(device, use_tilde=False).matrix_for_v(theta1, zeros)
-    vt_iso = rounding_isometry(device, use_tilde=True)
-    eye = np.eye(device.committed_dim, dtype=complex)
-    worst = 0.0
-    for u_vec in device.sigma_by_v(theta1):
-        sz_u = qcore.pauli_string(zeros, u_vec).entries
-        corr = qcore.kron(eye, qcore.kron(sz_u, sz_u))
-        for v_mat, vt_mat in zip(v_blocks, vt_iso.matrix_for_v(theta1, u_vec)):
-            worst = max(worst, float(np.linalg.norm(v_mat - corr @ vt_mat, ord=2)))
-    return worst
+    return max(
+        _relation_gap(tuple(sorted(zip(answers, u_vec))))  # a block's answers are all None or all bits
+        for u_vec in itertools.product((0, 1), repeat=device.n)
+        for answers in _block_answers(device)
+    )
 
 
-def _partial_trace_last(matrix: np.ndarray, rest_dim: int, traced_dim: int) -> np.ndarray:
-    t = matrix.reshape(rest_dim, traced_dim, rest_dim, traced_dim)
-    return np.einsum("ikjk->ij", t)
+def _qubit(theta: int, v: int) -> np.ndarray:
+    return (qcore.hadamard().entries.real if theta else np.eye(2))[:, v]
+
+
+@functools.cache
+def _rounded_trace_norm(types: tuple[tuple[int, int, int | None], ...]) -> float:
+    """||psi psi^T - alpha (x) |b><b| ||_1, psi = V_j |b>, alpha = Tr_Q psi psi^T, by sorted per-copy (theta, v, answer).
+
+    Per copy psi_i = phi_i (x) b_i + chi_i (x) b_i^perp, so psi = sum_S K_S (x) e_S
+    over the sets S of copies taking chi.  In coordinates G^(1/2) on the K_S
+    (Gram matrix G = (x)_i G_i of (phi_i, chi_i)), psi is g = (x)_i G_i^(1/2) e_0
+    on e_0 plus an orthogonal rest r, and alpha (x) |b><b| is G, so the norm is
+    that of [g; r][g; r]^T - (G (+) 0).  r^2 = sum_{S nonempty} prod_i (G_i)_{s_i s_i}
+    is summed from non-negative terms, so no rounding dust reads as a distance.
+    """
+    roots, grams, rest, none = [], [], 0.0, 1.0
+    for theta, v, answer in types:
+        psi = (copy_factor(answer, 0) @ _qubit(theta, v)).reshape(4, 2)  # (c, A) x Q
+        split = psi @ np.column_stack([_qubit(theta, v), _qubit(theta, 1 - v)])  # columns phi_i, chi_i
+        gram = split.T @ split
+        w, u = np.linalg.eigh(gram)
+        roots.append(u @ (np.sqrt(np.clip(w, 0.0, None)) * u[0]))
+        grams.append(gram)
+        rest, none = rest * np.trace(gram) + none * gram[1, 1], none * gram[0, 0]
+    top = np.append(qcore.kron(*roots), np.sqrt(rest))
+    m = np.outer(top, top)
+    m[:-1, :-1] -= qcore.kron(*grams)
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
 def bb84_report(device: Device, theta_vec: Sequence[int]) -> dict:
     """Distance of the rounded state from the BB84 x side-state product form.
 
     For each decoded string v the report compares V sigma^(theta, v) V^dag
-    against (BB84 states on Q) tensor alpha with alpha the Q-marginal.  The
-    blocks decoded as v are all proportional to the class block, so the
+    against alpha (x) (BB84 state of v on Q), with alpha its marginal off Q.
+    The blocks decoded as v are all proportional to the class block, so the
     blockwise sum of trace distances equals the class block's distance.
     Both states are block-diagonal in the ancilla index, so each trace norm
-    is a sum over those blocks.  The spread entry compares the ancillary
-    alpha states across different v after summing out the classical block
-    index (keeping it would make the comparison trivially maximal:
-    different v live on disjoint classical outcomes).
+    is a p_j-weighted sum over those blocks.
     """
-    n = device.n
     theta_vec = tuple(theta_vec)
-    v_blocks = rounding_isometry(device, use_tilde=False).matrix_for_v(theta_vec, (0,) * n)
-    q_dim = 2**n
+    blocks = list(zip(device.anc_probs, _block_answers(device)))
     per_v = []
-    alphas = {}
-    for v_vec, block in device.sigma_by_v(theta_vec).items():
-        bb84_ket = qcore.BB84Product(v_vec, theta_vec).to_state().amplitudes
-        bb84 = np.outer(bb84_ket, bb84_ket.conj())
-        distance = 0.0
-        alpha = []
-        for prob, v_mat in zip(device.anc_probs, v_blocks):
-            rho = prob * (v_mat @ block @ v_mat.conj().T)
-            alpha.append(_partial_trace_last(rho, rho.shape[0] // q_dim, q_dim))
-            distance += 0.5 * qcore.trace_norm(rho - qcore.kron(alpha[-1], bb84))
-        weight = float(np.trace(block).real)
-        per_v.append({"v": list(v_vec), "trace_distance": distance, "weight": weight})
-        if weight > 1e-14:
-            alphas[v_vec] = [part / weight for part in alpha]
-    spread = max(
-        (
-            0.5 * sum(qcore.trace_norm(x - y) for x, y in zip(xs, ys))
-            for xs, ys in itertools.combinations(alphas.values(), 2)
-        ),
-        default=0.0,
-    )
-    return {
-        "theta": list(theta_vec),
-        "per_v": per_v,
-        "max_distance": max((row["trace_distance"] for row in per_v), default=0.0),
-        "alpha_spread": spread,
-    }
+    for v_vec, weight in device.class_weights(theta_vec).items():
+        norm = sum(p * _rounded_trace_norm(tuple(sorted(zip(theta_vec, v_vec, answers)))) for p, answers in blocks)
+        per_v.append({"v": list(v_vec), "trace_distance": 0.5 * weight * norm, "weight": weight})
+    return {"theta": list(theta_vec), "per_v": per_v, "max_distance": max(row["trace_distance"] for row in per_v)}
 
 
 def validate_device(device: Device) -> dict:
@@ -545,10 +523,7 @@ def validate_device(device: Device) -> dict:
     for mode in (0, 1):
         for i in range(n):
             for y, _, _ in device.copy_y_list(mode, i):
-                acc = np.zeros((2, 2), dtype=complex)
-                for d in range(2**device.width):
-                    k = device.copy_kraus(mode, i, y, d)
-                    acc += k.conj().T @ k
+                acc = sum(k.conj().T @ k for k in (device.copy_kraus(mode, i, y, d) for d in range(2**device.width)))
                 worst_kraus = max(worst_kraus, float(np.max(np.abs(acc - np.eye(2)))))
     report["equation_kraus_gap"] = worst_kraus
 

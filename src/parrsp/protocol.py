@@ -129,7 +129,11 @@ class VerifierSession:
         reply = self.prover.handle(msg)
         if reply is not None:  # recorded before any check, so that replay sees what made an abort
             reply = reply if isinstance(reply, dict) else {"type": type(reply).__name__}
-            self.recorder.record("p->v", reply)
+            try:
+                self.recorder.record("p->v", reply)
+            except RecursionError:  # nested too deeply to copy: kept as its type, like a non-object
+                reply = {"type": type(reply).__name__}
+                self.recorder.record("p->v", reply)
         if expect is None:
             if reply is not None:
                 raise ProtocolAbort(f"unexpected reply to {msg['type']}")

@@ -19,10 +19,10 @@ endpoint that answers with the recorded replies.  The SUMMARY gives the
 session parameters, FINAL whether theta is revealed, and the last KEYS
 record's key modes the preparation basis of an accepted session (which
 copy protection chooses); every other coin comes from the seed.  The
-transcript passes only if the re-run writes it record for record, as
-dicts; otherwise the report names the first record it would not have
-written.  A file that is not a transcript raises TranscriptFormatError.
-A live recorder is replayed from its encoded lines, like a saved file.
+transcript passes only if the re-run writes it record for record (true,
+1 and 1.0 told apart); otherwise the report names the first record it
+would not have written.  A file that is not a transcript raises
+TranscriptFormatError.  A live recorder is replayed from its encoded lines.
 """
 
 from __future__ import annotations
@@ -119,6 +119,19 @@ def _load_lines(source) -> list[dict]:
     return records
 
 
+def _same(a, b) -> bool:
+    """JSON equality that tells bool, int and float apart; an object (a NaN) equals itself, as in containers."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 class _Divergence(Exception):
     """args[0]: the index of the first record the re-run does not write as the transcript holds it."""
 
@@ -131,7 +144,7 @@ class _Playback:
 
     def check(self) -> None:
         for i in range(self.checked, len(self.written)):
-            if i == len(self.records) or self.written[i] != self.records[i]:
+            if i == len(self.records) or not _same(self.written[i], self.records[i]):
                 raise _Divergence(i)
         self.checked = len(self.written)
 
@@ -148,9 +161,9 @@ def _rounds_matched(written: list[dict]) -> int:
 
 def _divergence(records: list[dict], written: list[dict], i: int) -> ReplayReport:
     recorded, recomputed = records[i] if i < len(records) else {}, written[i] if i < len(written) else {}
-    # "type" first; tuples compare their items as dicts compare values, so a NaN equals itself
+    # "type" first
     name = next((k for k in sorted(recorded.keys() | recomputed.keys(), key=lambda k: (k != "type", k))
-                 if (k in recorded, recorded.get(k)) != (k in recomputed, recomputed.get(k))), None)
+                 if k not in recorded or k not in recomputed or not _same(recorded[k], recomputed[k])), None)
     first = {"round": recomputed.get("round", recorded.get("round")), "field": name,
              "type": recomputed.get("type", recorded.get("type")),
              "recorded": recorded.get(name), "recomputed": recomputed.get(name)}
@@ -188,13 +201,16 @@ def replay(source) -> ReplayReport:
     rerun = TranscriptRecorder()
     written, playback = rerun._messages, _Playback(records, rerun._messages)
     try:
-        VerifierSession(config, playback, rerun).run_multi_round(
-            _prep_theta(records, n) if summary.get("accepted") is True else None)
-        playback.check()
-        if len(records) > len(written):
-            raise _Divergence(len(written))
-    except _Divergence as exc:
-        return _divergence(records, written, exc.args[0])
-    except RecursionError:  # no session could have recorded it either
+        try:
+            VerifierSession(config, playback, rerun).run_multi_round(
+                _prep_theta(records, n) if summary.get("accepted") is True else None)
+            playback.check()
+            if len(records) > len(written):
+                raise _Divergence(len(written))
+        except _Divergence as exc:
+            # a session records a reply too deep to copy as its type alone, so the re-run diverges there
+            _snapshot(records[exc.args[0]] if exc.args[0] < len(records) else None)
+            return _divergence(records, written, exc.args[0])
+    except RecursionError:  # no session could have recorded that reply
         raise TranscriptFormatError("a reply is nested too deeply to record") from None
     return ReplayReport(ok=True, rounds_checked=_rounds_matched(written))

@@ -91,12 +91,15 @@ def _recv_exact(conn: socket.socket, n: int) -> bytearray:
 
 
 def recv_message(conn: socket.socket) -> dict:
-    """Read one frame; a length prefix above MAX_FRAME_BYTES raises ConnectionError."""
+    """Read one frame; a length prefix above MAX_FRAME_BYTES raises ConnectionError, a body too deep ValueError."""
     (length,) = struct.unpack("!I", _recv_exact(conn, 4))
     if length > MAX_FRAME_BYTES:
         raise ConnectionError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
     body = _recv_exact(conn, length)
-    return json.loads(body.decode("utf-8"))
+    try:
+        return json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("frame nested too deeply to decode") from None
 
 
 class SocketProverClient:

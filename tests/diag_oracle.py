@@ -7,6 +7,10 @@ blocks indexed by the image and equation outcomes (y_vec, d_vec), each a
 dense matrix on committed (2^n) x ancilla space, with the ancilla weights
 as a diagonal tensor factor, and every observable, projector and isometry
 as a dense matrix on that space.  Tests compare the class form against it.
+The rounding isometry is the full 4^n-term Pauli twirl; `assemble` turns
+the per-copy factors of `parrsp.diagnostics` into the same dense blocks,
+and `bb84_report` is the dense per-class, per-ancilla-block BB84 distance
+(with the spread of the side states), which reaches n = 3.
 The last section keeps two pointwise references on the class form itself:
 one Pauli-relation value, against which `pauli_relation_grid` is checked,
 and the Hadamard-round pass probability along two code paths.
@@ -166,7 +170,9 @@ def partial_sigma(device, theta_vec, v: int, a) -> SigmaState:
 
 def u_vector(device, theta_vec, d_vec, a) -> int:
     """Parity a . u over claw-free copies; requires theta_i = 1 where a_i = 1."""
-    return device.v_parity(theta_vec, [device.copy_u(i, d) for i, d in enumerate(d_vec)], a)
+    if any(ai and theta != 1 for theta, ai in zip(theta_vec, a)):
+        raise ValueError("Xtilde sign needs a claw-free key wherever a_i = 1")
+    return _dot([device.copy_u(i, d) for i, d in enumerate(d_vec)], a)
 
 
 # -- per-(y, d) observables and isometries -------------------------------------
@@ -236,6 +242,71 @@ def rounding_isometry(device, use_tilde: bool) -> DenseIsometry:
             w = (np.kron(pauli, np.eye(2**n, dtype=complex)) @ epr).reshape(-1, 1)
             terms.append((w, x @ z, a))
     return DenseIsometry(device=device, use_tilde=use_tilde, base_terms=terms)
+
+
+def isometry_blocks(device, iso: DenseIsometry, theta_vec, y_vec, d_vec) -> list:
+    """The dense isometry of one (y, d) block restricted to each ancilla index j, (d * 4^n) x d."""
+    d, anc = device.committed_dim, device.anc_dim
+    full = iso.matrix_for(theta_vec, y_vec, d_vec).reshape(d, anc, 4**device.n, d, anc)
+    return [full[:, j, :, :, j].reshape(d * 4**device.n, d) for j in range(anc)]
+
+
+def assemble(factors) -> np.ndarray:
+    """(x)_i factors[i] of 8 x 2 copy factors, output reordered from (c_i, A_i, Q_i) per copy to (c, A, Q)."""
+    n = len(factors)
+    out = _kron_all(list(factors)).reshape((2, 2, 2) * n + (2**n,))
+    return out.transpose([3 * i + k for k in range(3) for i in range(n)] + [3 * n]).reshape(8**n, 2**n)
+
+
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of |eigenvalues| of a Hermitian matrix; a real one (every state here is) takes the real solver."""
+    return float(np.abs(np.linalg.eigvalsh(m if np.any(m.imag) else m.real)).sum())
+
+
+def bb84_report(device, theta_vec, v_vecs=None) -> dict:
+    """The BB84-form distance the dense way: one class and one ancilla index at a time.
+
+    Each class block sigma^(theta, v), for every decoded string v or those
+    in v_vecs, is rounded with ancilla block j of the dense 4^n-term
+    isometry into rho_j = p_j V_j sigma V_j^dag, and compared with
+    alpha_j (x) |BB84><BB84|, alpha_j its marginal off Q.  The spread
+    compares the normalized alpha states of different v, blockwise in j:
+    summing out the ancilla index would compare states that live on
+    disjoint classical outcomes.
+    """
+    n = device.n
+    theta_vec = tuple(theta_vec)
+    v_iso = isometry_blocks(device, rounding_isometry(device, use_tilde=False), theta_vec, (0,) * n, (0,) * n)
+    classes = device.sigma_by_v(theta_vec)
+    q_dim = 2**n
+    per_v, alphas = [], {}
+    for v_vec in classes if v_vecs is None else map(tuple, v_vecs):
+        block = classes[v_vec]
+        ket = _bb84_ket(theta_vec, v_vec)
+        bb84 = np.outer(ket, ket.conj())
+        distance, alpha = 0.0, []
+        for prob, v_mat in zip(device.anc_probs, v_iso):
+            rho = prob * (v_mat @ block @ v_mat.conj().T)
+            rest = rho.shape[0] // q_dim
+            alpha.append(np.einsum("ikjk->ij", rho.reshape(rest, q_dim, rest, q_dim)))
+            distance += 0.5 * trace_norm(rho - np.kron(alpha[-1], bb84))
+        weight = float(np.trace(block).real)
+        per_v.append({"v": list(v_vec), "trace_distance": distance, "weight": weight})
+        if weight > 1e-14:
+            alphas[v_vec] = [part / weight for part in alpha]
+    spread = max(
+        (
+            0.5 * sum(trace_norm(x - y) for x, y in zip(xs, ys))
+            for xs, ys in itertools.combinations(alphas.values(), 2)
+        ),
+        default=0.0,
+    )
+    return {
+        "theta": list(theta_vec),
+        "per_v": per_v,
+        "max_distance": max(row["trace_distance"] for row in per_v),
+        "alpha_spread": spread,
+    }
 
 
 # -- reports, one (y, d) block at a time ---------------------------------------

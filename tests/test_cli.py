@@ -11,7 +11,7 @@ from test_copyprotect import MALFORMED_EDITS, protect, sum_programs
 
 
 # SHA-256 of the seeded diagnose reports in TestDiagnose.test_seeded_reports_pinned
-PINNED_DIAGNOSE_SHA256 = "6ed01cdad7b3c4746dadd705bffde4d1cfed8de4ae9cb5bd5e2ba9a9458e8075"
+PINNED_DIAGNOSE_SHA256 = "d251dfdf9290aadc2fe9e57c0d373fc96b211c5ad7283170a385ee85d007d70a"
 # SHA-256 of the seeded piracy reports in TestCpPirateReports.test_seeded_reports_pinned
 PINNED_PIRATE_SHA256 = "fdd04389c854baadcd675c3eb30a6b9ef96eb4e35bd439855149e6d37664ca60"
 
@@ -198,10 +198,10 @@ class TestDiagnose:
         """One SHA-256 over seeded `rsp diagnose --json` reports.
 
         It pins every diagnostics value to the bit, honest and perturbed,
-        with and without the rounding isometry: a change that moves any of
-        them in the last place fails.  The floats come from numpy's LAPACK
-        and BLAS, so the constant belongs to one numpy build (numpy 2.4,
-        scipy-openblas 0.3.31 on x86-64).
+        the rounding-isometry and BB84 entries included at every n: a
+        change that moves any of them in the last place fails.  The floats
+        come from numpy's LAPACK and BLAS, so the constant belongs to one
+        numpy build (numpy 2.4, scipy-openblas 0.3.31 on x86-64).
         """
         import hashlib
 
@@ -351,12 +351,16 @@ class TestOutOfRangeSizes:
         assert elapsed < 2.0
 
     def test_diagnose_at_the_copy_cap(self):
-        code, out, err, _, peak_kb = self.run_child(
+        code, out, err, elapsed, peak_kb = self.run_child(
             "rsp", "diagnose", "--n", "5", "--width", "2", "--epsilon", "0.3", "--json"
         )
         assert code == 0, err
-        assert json.loads(out)["n"] == 5
-        assert peak_kb < 300 * 1024
+        payload = json.loads(out)
+        assert payload["n"] == 5
+        assert payload["isometry_relation_gap"] < 1e-10
+        assert 0.0 < payload["bb84_max_distance"] < 1.0
+        assert peak_kb < 100 * 1024
+        assert elapsed < 3.0
 
     @pytest.mark.parametrize(
         "argv",

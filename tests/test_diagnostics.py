@@ -280,29 +280,9 @@ class TestRoundingIsometry:
                 assert np.max(np.abs(v.conj().T @ v - eye)) < 1e-9
 
     def test_copies_guard(self):
-        device = dg.device_from_honest(3, 2, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="2 copies"):
-            dg.rounding_isometry(device, False)
-
-    def test_terms_built_once_per_device(self, monkeypatch):
-        # the 4^2 terms need 4 X(a) and 16 Z(b) observables, whatever the
-        # number of isometries built from them
-        calls = []
-        observable_matrix = dg.Device.observable_matrix
-
-        def counted(self, kind, a):
-            calls.append((kind, tuple(a)))
-            return observable_matrix(self, kind, a)
-
-        monkeypatch.setattr(dg.Device, "observable_matrix", counted)
-        device = dg.device_from_honest(2, 2, np.random.default_rng(7))
-        dg.isometry_relation_gap(device)
-        for theta in itertools.product((0, 1), repeat=2):
-            dg.bb84_report(device, theta)
-        assert len(calls) == 20
-        iso = dg.rounding_isometry(device, use_tilde=True)
-        assert iso.base_terms is dg.rounding_isometry(device, use_tilde=False).base_terms
-        assert all(not column.flags.writeable for _, columns in iso.base_terms for column in columns)
+        # the relation is checked per copy, so it no longer stops at 2 copies
+        device = dg.perturb_device(dg.device_from_honest(3, 2, np.random.default_rng(1)), 0.3)
+        assert dg.isometry_relation_gap(device) < 1e-10
 
 
 class TestBb84Form:
@@ -313,7 +293,7 @@ class TestBb84Form:
             assert abs(sum(r["weight"] for r in report["per_v"]) - 1.0) < 1e-10
 
     def test_honest_alpha_spread_vanishes(self, dev1):
-        report = dg.bb84_report(dev1, (1,))
+        report = oracle.bb84_report(dev1, (1,))
         assert report["alpha_spread"] < 1e-9
 
     def test_perturbed_distance_monotone_sweep(self, dev1):
@@ -323,6 +303,24 @@ class TestBb84Form:
         ]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         assert values[0] < 1e-9 and values[-1] > 0.1
+
+
+class TestBb84FormAtThreeCopies:
+    """The per-copy BB84 distance at n = 3 against the dense per-block oracle (4^3 twirl terms)."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.1, 0.3, 1.0], ids=lambda eps: f"eps{eps}")
+    def device(self, request):
+        return dg.perturb_device(dg.device_from_honest(3, 2, np.random.default_rng(503)), request.param)
+
+    @pytest.mark.parametrize("theta", [(0, 0, 0), (1, 1, 1), (0, 1, 0)], ids=lambda t: "".join(map(str, t)))
+    def test_per_v_rows(self, device, theta):
+        rows = {tuple(row["v"]): row for row in dg.bb84_report(device, theta)["per_v"]}
+        expected = oracle.bb84_report(device, theta, [(0, 0, 0), (1, 0, 1)])["per_v"]
+        for row in expected:
+            assert abs(rows[tuple(row["v"])]["trace_distance"] - row["trace_distance"]) < 1e-12
+            assert abs(rows[tuple(row["v"])]["weight"] - row["weight"]) < 1e-12
+        # a perturbed device is measurably off the product form
+        assert (max(row["trace_distance"] for row in expected) > 1e-3) == (device.anc_dim > 1)
 
 
 def test_accept_reject_two_code_paths(dev2):
@@ -422,7 +420,7 @@ class TestClassFormMatchesBlockLoop:
 
     @pytest.fixture(
         scope="class",
-        params=[(n, eps) for n in (1, 2) for eps in (0.1, 0.3, 1.0)],
+        params=[(n, eps) for n in (1, 2) for eps in (0.0, 0.1, 0.3, 1.0)],
         ids=lambda p: f"n{p[0]}-eps{p[1]}",
     )
     def device(self, request):
@@ -437,13 +435,11 @@ class TestClassFormMatchesBlockLoop:
             assert max(np.max(np.abs(blocks[k] - kraus[k])) for k in kraus) < 1e-12
 
     def test_bb84_report(self, device):
-        # the rounded blocks of the oracle are 4^n * block_dim wide; n = 2
-        # keeps to the all-claw-free basis to bound the number of SVDs
-        thetas = itertools.product((0, 1), repeat=device.n) if device.n == 1 else [(1, 1)]
-        for theta in thetas:
-            v_iso = oracle.rounding_isometry(device, use_tilde=False)
-            q_dim = 2**device.n
-            report = dg.bb84_report(device, theta)
+        # V is the same on every (y, d) block, so it is built once per device
+        q_dim = 2**device.n
+        v_mat = oracle.rounding_isometry(device, use_tilde=False).matrix_for(None, None, None)
+        for theta in itertools.product((0, 1), repeat=device.n):
+            report, distances = dg.bb84_report(device, theta), []
             for row in report["per_v"]:
                 v_vec = tuple(row["v"])
                 ket = np.eye(1, dtype=complex)
@@ -452,15 +448,20 @@ class TestClassFormMatchesBlockLoop:
                     ket = np.kron(ket, qcore.hadamard().entries @ e if t else e)
                 bb84 = ket @ ket.conj().T
                 distance = weight = 0.0
-                for (y_vec, d_vec), block in oracle.sigma_for_v(device, theta, v_vec).blocks.items():
-                    v_mat = v_iso.matrix_for(theta, y_vec, d_vec)
-                    rho = v_mat @ block @ v_mat.conj().T
-                    rest = rho.shape[0] // q_dim
-                    alpha = np.einsum("ikjk->ij", rho.reshape(rest, q_dim, rest, q_dim))
-                    distance += 0.5 * qcore.trace_norm(rho - np.kron(alpha, bb84))
+                by_entries = {}  # blocks with equal entries (most of them) have equal distances
+                for block in oracle.sigma_for_v(device, theta, v_vec).blocks.values():
+                    key = block.tobytes()
+                    if key not in by_entries:
+                        rho = v_mat @ block @ v_mat.conj().T
+                        rest = rho.shape[0] // q_dim
+                        alpha = np.einsum("ikjk->ij", rho.reshape(rest, q_dim, rest, q_dim))
+                        by_entries[key] = 0.5 * oracle.trace_norm(rho - np.kron(alpha, bb84))
+                    distance += by_entries[key]
                     weight += float(np.trace(block).real)
-                assert abs(row["trace_distance"] - distance) < 1e-10
-                assert abs(row["weight"] - weight) < 1e-10
+                assert abs(row["trace_distance"] - distance) < 1e-12
+                assert abs(row["weight"] - weight) < 1e-12
+                distances.append(distance)
+            assert abs(report["max_distance"] - max(distances)) < 1e-12
 
     def test_anticommutation(self, device):
         for i in range(device.n):
@@ -513,7 +514,7 @@ class TestClassFormMatchesBlockLoop:
                 v_iso.matrix_for(theta1, y_vec, d_vec) - corr @ vt_iso.matrix_for(theta1, y_vec, d_vec), ord=2
             )
             worst = max(worst, float(gap))
-        assert abs(dg.isometry_relation_gap(device) - worst) < 1e-10
+        assert abs(dg.isometry_relation_gap(device) - worst) < 1e-12
 
     def test_class_blocks_match_decoded_blocks(self, device):
         anc = oracle.anc_matrix(device)
@@ -540,19 +541,21 @@ class TestClassFormMatchesBlockLoop:
             pairs += [(device.question_projector(q, v), oracle.question_projector(device, q, v)) for q in (0, 1) for v in bits]
             for op, expected in pairs:
                 assert np.max(np.abs(oracle.dense(device, op) - expected)) < 1e-10
-        # isometry blocks: the dense matrix restricted to one ancilla index
+        # isometry blocks: the per-copy factors, assembled, against the dense
+        # matrix restricted to one ancilla index
         theta1 = (1,) * n
         first_block = {}
         for y_vec, d_vec in oracle.sigma_state(device, theta1).blocks:
             first_block.setdefault(oracle.decode_block(device, theta1, y_vec, d_vec), (y_vec, d_vec))
-        d, anc, q_dim = device.committed_dim, device.anc_dim, 4**n
+        answers = [(None,) * n] + [qcore.index_to_bits(answer, n) for answer in device.anc_answers]
         for use_tilde in (False, True):
-            blocks_iso = dg.rounding_isometry(device, use_tilde)
             dense_iso = oracle.rounding_isometry(device, use_tilde)
             for v_vec, (y_vec, d_vec) in first_block.items():
-                full = dense_iso.matrix_for(theta1, y_vec, d_vec).reshape(d, anc, q_dim, d, anc)
-                for j, block in enumerate(blocks_iso.matrix_for_v(theta1, v_vec)):
-                    assert np.max(np.abs(block - full[:, j, :, :, j].reshape(d * q_dim, d))) < 1e-10
+                u_vec = v_vec if use_tilde else (0,) * n
+                dense_blocks = oracle.isometry_blocks(device, dense_iso, theta1, y_vec, d_vec)
+                for block_answers, dense_block in zip(answers, dense_blocks):
+                    factors = [dg.copy_factor(answer, u) for answer, u in zip(block_answers, u_vec)]
+                    assert np.max(np.abs(oracle.assemble(factors) - dense_block)) < 1e-12
 
     def test_gammas(self, device):
         assert np.max(np.abs(np.subtract(dg.gammas(device), oracle.gammas(device)))) < 1e-10

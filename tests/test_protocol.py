@@ -395,6 +395,15 @@ class TestDeterminismAndTransport:
             wire.send_message(sender, {"type": "ACK"})
             assert wire.recv_message(receiver) == {"type": "ACK"}
 
+    def test_frame_nested_too_deeply_is_refused(self):
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(5)
+            body = b"[" * 100_000 + b"]" * 100_000
+            sender.sendall(len(body).to_bytes(4, "big") + body)
+            with pytest.raises(ValueError, match="nested too deeply"):
+                wire.recv_message(receiver)
+
     def test_wire_bit_encoding_roundtrip(self):
         assert wire.bits_to_hex((1, 0, 1, 1)) == "b"
         assert wire.hex_to_bits("b", 4) == (1, 0, 1, 1)
@@ -471,6 +480,23 @@ class TestTranscriptReplay:
         lines[idx] = lines[idx][:-1] + ',"extra":' + "[" * 500 + "]" * 500 + "}"
         with pytest.raises(transcript.TranscriptFormatError, match="nested"):
             transcript.replay(lines)
+
+    def test_reply_too_deep_to_copy_aborts_the_live_session(self):
+        class Nesting(provers.HonestProver):
+            def handle(self, msg):
+                reply = super().handle(msg)
+                if msg["type"] == "KEYS":
+                    deep = []
+                    for _ in range(600):
+                        deep = [deep]
+                    reply["extra"] = deep
+                return reply
+
+        res = protocol.run_multi_round(config(n=2, m=2, seed=1), Nesting(seed=1))
+        # recorded as its type alone, like a reply that is not an object
+        assert not res.accepted and res.abort_block == -1
+        assert res.abort_reason == 'protocol abort: expected IMAGES message, got {"type":"dict"}'
+        assert transcript.replay(res.transcript).ok
 
     def test_replay_strict_mode_run(self):
         res = protocol.run_multi_round(
@@ -643,6 +669,28 @@ class TestReplayForgeries:
                                         "recorded": "FINAL", "recomputed": "KEYS"}
         (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
         assert _verify_cli(capsys, tmp_path / "t.jsonl")[0] == 2
+
+    def test_accepted_written_as_one(self):
+        # 1 == True in Python; the verifier writes true
+        res = protocol.run_multi_round(config(n=2, m=4, seed=4), provers.HonestProver(seed=4))
+        assert res.accepted
+        report = transcript.replay(_edit(res.transcript.lines, "SUMMARY", accepted=1))
+        assert not report.ok
+        assert report.mismatches[0]["type"] == "SUMMARY" and report.mismatches[0]["field"] == "accepted"
+
+    def test_key_mode_written_as_false(self):
+        # 0 == False in Python; the verifier writes the mode as an integer
+        res = protocol.run_multi_round(config(n=2, m=4, seed=4), provers.HonestProver(seed=4))
+        lines = res.transcript.lines
+        idx = next(i for i, line in enumerate(lines) if '"KEYS"' in line and '"mode":0' in line)
+        msg = json.loads(lines[idx])
+        next(key for key in msg["keys"] if key["mode"] == 0)["mode"] = False
+        lines[idx] = transcript.canonical_json(msg)
+        report = transcript.replay(lines)
+        assert not report.ok
+        assert report.mismatches[0]["type"] == "KEYS" and report.mismatches[0]["field"] == "keys"
+        assert report.mismatches[0]["round"] == msg["round"]
+
 
 class TestProverServerErrors:
     BAD_KEYS = {"type": "KEYS", "session": "s", "round": 0, "keys": [{"mode": 0}]}
