@@ -14,9 +14,12 @@ unbalanced split with the left half one bit larger) whose round functions
 are read from keyed blake2b streams of a 128-bit per-key seed.  Determinism
 and invertibility are the only contracts pi has to satisfy.  No per-key
 table exists: an evaluation reads each round's entry from the one 64-byte
-digest that holds it, computed on demand and memoized in a small bounded
-cache, so a key costs what its evaluations touch (8 digests per point).
-Only :func:`preimage_table` enumerates the 2^(w+1) domain.
+digest that holds it.  A seed's entry in a small bounded cache holds its
+keyed blake2b state, which has absorbed the seed once, and the digests read
+so far; each digest is computed from a copy of that state the first time a
+point needs it.  A key costs one keyed state plus what its evaluations
+touch (8 digests per point).  Only :func:`preimage_table` enumerates the
+2^(w+1) domain.
 
 SECURITY WARNING: nothing here is cryptographically hard.  The public key
 contains the permutation seed (and the claw offset), so anyone holding a
@@ -44,6 +47,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .seeds import CoinStream
 
 FEISTEL_ROUNDS = 8
 MIN_KEY_WIDTH = 2
@@ -96,18 +101,35 @@ class EntcfKey:
 EntcfTrapdoor = EntcfKey  # the decoding-side role of the same data
 
 
-@lru_cache(maxsize=512)
-def _digest(seed: bytes, rnd: int, counter: int) -> bytes:
-    """Digest `counter` of round `rnd`'s keyed stream.
+@lru_cache(maxsize=64)
+def _keyed(seed: bytes) -> tuple[hashlib.blake2b, dict[int, bytes]]:
+    """A seed's keyed blake2b state and the digests read so far.
 
-    The cache is small on purpose: it only has to hold the digests one
-    protocol round touches (the prover's commit, then the verifier's decode
-    and check of the same points).  A large cache outlives the young
-    generations and the garbage collector's full passes walk it: at 8192
-    entries those pauses made the tail latency of width-16 sessions five
-    times what it is at 512.
+    Digest `counter` of round `rnd` is stored under ``counter << 3 | rnd``
+    (rnd < FEISTEL_ROUNDS = 8).
     """
-    return hashlib.blake2b(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64).digest()
+    return hashlib.blake2b(key=seed, digest_size=64), {}
+
+
+def _digest(state: hashlib.blake2b, digests: dict[int, bytes], rnd: int, counter: int) -> bytes:
+    """Digest `counter` of round `rnd`'s keyed stream, stored in `digests`.
+
+    `state` is the seed's keyed state from :func:`_keyed`, so a digest costs
+    one copy and one compression, once while its seed stays cached.  The
+    cache is small on purpose: it only has to hold the seeds one protocol
+    round touches (the prover's commit, then the verifier's decode and check
+    of the same points).  Up to width 11 each round's entries lie in one
+    digest, so its 64 seeds hold about 512 digests; at width 16 a seed holds
+    at most 64.  A dict of bytes under int keys is not tracked by the
+    garbage collector, so only the 64 entries are.  A large cache outlives
+    the young generations and the collector's full passes walk it: a cache
+    of 8192 tracked entries, one per digest, made the tail latency of
+    width-16 sessions five times what it was at 512.
+    """
+    h = state.copy()
+    h.update(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"))
+    digest = digests[counter << 3 | rnd] = h.digest()
+    return digest
 
 
 def _layout(total_bits: int) -> tuple[int, int, int, int, int]:
@@ -132,23 +154,26 @@ def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) ->
     by indexing, which is what makes widths below 16 cheaper.
     """
     right_bits, left_size, right_size, left_mask, right_mask = _LAYOUTS[total_bits]
+    state, digests = _keyed(seed)
     left = value >> right_bits
     right = value & right_mask
     for rnd in _INVERSE if inverse else _FORWARD:
         if rnd & 1:
             pos = left * right_size
-            digest, offset = _digest(seed, rnd, pos >> 6), pos & 63
+            counter, offset = pos >> 6, pos & 63
+            digest = digests.get(counter << 3 | rnd) or _digest(state, digests, rnd, counter)
             entry = digest[offset] if right_size == 1 else int.from_bytes(digest[offset : offset + right_size], "big")
             right ^= entry & right_mask
         else:
             pos = right * left_size
-            digest, offset = _digest(seed, rnd, pos >> 6), pos & 63
+            counter, offset = pos >> 6, pos & 63
+            digest = digests.get(counter << 3 | rnd) or _digest(state, digests, rnd, counter)
             entry = digest[offset] if left_size == 1 else int.from_bytes(digest[offset : offset + left_size], "big")
             left ^= entry & left_mask
     return (left << right_bits) | right
 
 
-def gen(mode: int, width: int, rng: np.random.Generator) -> EntcfKey:
+def gen(mode: int, width: int, rng: np.random.Generator | CoinStream) -> EntcfKey:
     """Fresh key: new permutation seed, and a claw offset in mode 1.
 
     The key validates mode and width itself, after the draws.

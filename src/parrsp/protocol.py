@@ -31,8 +31,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import entcf, rules
 from .rules import (  # re-exported: part of this module's interface
     FLAG_FAIL_HAD,
@@ -42,7 +40,7 @@ from .rules import (  # re-exported: part of this module's interface
     PREIMAGE_ROUND,
     ProtocolAbort,
 )
-from .seeds import derived_rng
+from .seeds import CoinStream, derived_rng
 from .transcript import TranscriptRecorder, canonical_json
 from .wire import bits_to_hex
 
@@ -147,7 +145,7 @@ class VerifierSession:
 
     # -- round drivers ------------------------------------------------
 
-    def _commit_phase(self, round_index: int, modes: Sequence[int], rng: np.random.Generator):
+    def _commit_phase(self, round_index: int, modes: Sequence[int], rng: CoinStream):
         """Fresh keys, which are their own trapdoors here, and the images the prover commits to."""
         keys = [entcf.gen(mode, self.config.width, rng) for mode in modes]
         msg = {

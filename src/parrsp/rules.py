@@ -18,10 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import entcf, wire
-from .seeds import derived_rng
+from .seeds import CoinStream, derived_rng
 
 PREIMAGE_ROUND = "preimage"
 HADAMARD_ROUND = "hadamard"
@@ -106,7 +104,7 @@ def hadamard_flag(trapdoors, images, equations, answers: Sequence[int]) -> str:
 # -- session schedule ------------------------------------------------------
 
 
-def session_draws(seed: int, m_blocks: int) -> tuple[int, int, np.random.Generator]:
+def session_draws(seed: int, m_blocks: int) -> tuple[int, int, CoinStream]:
     """Block count S, trailing draw R, and the generator that draws the
     preparation basis next."""
     rng = derived_rng(seed, "verifier", "session")

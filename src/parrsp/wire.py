@@ -118,7 +118,7 @@ class SocketProverClient:
             self.peer_error = reply
             return reply  # never the awaited reply, so the verifier aborts
         if msg["type"] in ("VERDICT", "FINAL"):
-            if reply.get("type") != "ACK":
+            if not isinstance(reply, dict) or reply.get("type") != "ACK":
                 raise ConnectionError(f"expected ACK, got {reply!r}")
             return None
         return reply

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from parrsp import cli, copyprotect, wire
+from parrsp import cli, copyprotect, provers, wire
 from test_copyprotect import MALFORMED_EDITS, protect, sum_programs
 
 
@@ -719,6 +719,36 @@ class TestSocketMode:
                 conn.close()
         assert code == 1 and elapsed < 5
         assert "sent nothing" in err
+
+    @pytest.mark.parametrize("ack", [[1], "x", 7, None])
+    def test_non_object_ack_exits_1(self, capsys, ack):
+        import socket as socketmod
+
+        def serve(listener):
+            # an honest prover that answers the first VERDICT or FINAL with `ack`
+            conn = listener.accept()[0]
+            with conn:
+                prover = provers.HonestProver(seed=7)
+                while True:
+                    msg = wire.recv_message(conn)
+                    if msg["type"] in ("VERDICT", "FINAL"):
+                        wire.send_message(conn, ack)
+                        return
+                    wire.send_message(conn, prover.handle(msg))
+
+        with socketmod.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            server = threading.Thread(target=serve, args=(listener,))
+            server.start()
+            code, _, err = run_cli(
+                capsys, "rsp", "run", "--n", "2", "--m", "2", "--seed", "7",
+                "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+            )
+            server.join(timeout=10)
+            assert not server.is_alive()
+        assert code == 1
+        assert f"error: expected ACK, got {ack!r}" in err
 
     def test_run_against_served_prover(self, capsys, tmp_path):
         import socket as socketmod

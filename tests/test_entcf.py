@@ -264,3 +264,49 @@ def test_feistel_matches_per_entry_tables(width):
                 assert entcf._feistel(seed, total_bits, value, inverse) == _feistel_reference(
                     round_tables, value, inverse
                 )
+
+
+def _direct_entry(seed, rnd, index, dst_bits):
+    """Entry `index` of round `rnd`, from one keyed blake2b call of its own."""
+    size = (dst_bits + 7) // 8
+    counter, offset = divmod(index * size, 64)
+    digest = hashlib.blake2b(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"), key=seed, digest_size=64).digest()
+    return int.from_bytes(digest[offset : offset + size], "big") & ((1 << dst_bits) - 1)
+
+
+def _direct_pi(seed, total_bits, value, inverse=False):
+    """pi or pi^-1, one fresh keyed digest per round."""
+    left_bits = (total_bits + 1) // 2
+    right_bits = total_bits - left_bits
+    left, right = value >> right_bits, value & ((1 << right_bits) - 1)
+    for rnd in reversed(range(entcf.FEISTEL_ROUNDS)) if inverse else range(entcf.FEISTEL_ROUNDS):
+        if rnd % 2 == 0:
+            left ^= _direct_entry(seed, rnd, right, left_bits)
+        else:
+            right ^= _direct_entry(seed, rnd, left, right_bits)
+    return (left << right_bits) | right
+
+
+@pytest.mark.parametrize("width", range(entcf.MIN_KEY_WIDTH, entcf.MAX_KEY_WIDTH + 1))
+def test_eval_and_decode_match_direct_blake2b(width):
+    """eval_point and decode_x against per-round blake2b calls, for 80 keys
+    per width: more seeds than the keyed-state cache holds, visited twice in
+    different orders, so every point is read both before and after its
+    seed's entry is evicted."""
+    rng = np.random.default_rng(100 + width)
+    keys = [entcf.gen(entcf.INJECTIVE if i % 2 else entcf.CLAW_FREE, width, rng) for i in range(80)]
+    points = [(int(b), int(x)) for b, x in zip(rng.integers(0, 2, size=80), rng.integers(0, 1 << width, size=80))]
+    for order in (range(80), reversed(range(80))):
+        for i in order:
+            key, (b, x) = keys[i], points[i]
+            pre = (b << width) | x if key.mode == entcf.INJECTIVE else x ^ (key.delta if b else 0)
+            y = _direct_pi(key.seed, width + 1, pre)
+            assert entcf.eval_point(key, b, x) == y
+            assert entcf.decode_x(key, y, b) == x
+            other = y ^ 1  # a second image, claw-free ones outside the support included
+            z = _direct_pi(key.seed, width + 1, other, inverse=True)
+            if key.mode == entcf.INJECTIVE:
+                expected = z & ((1 << width) - 1)
+            else:
+                expected = None if z >> width else z ^ (key.delta if b else 0)
+            assert entcf.decode_x(key, other, b) == expected

@@ -106,7 +106,7 @@ def test_question_answers_match_dense_measurement(q):
         prover = provers.HonestProver(seed=seed)
         prover.handle(_keys_message(keypairs, seed))
         prover.handle({"type": "ROUND_TYPE", "round": seed, "round_type": "hadamard"})
-        oracle_rng = copy.deepcopy(prover._rng)
+        oracle_rng = np.random.Generator(copy.deepcopy(prover._rng.bit_generator))
         expected = dense_question_answers(prover.final_states(), q, oracle_rng)
         reply = prover.handle({"type": "QUESTION", "round": seed, "q": q})
         assert reply["v"] == [bit for bit, _ in expected]
