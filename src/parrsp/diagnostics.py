@@ -63,7 +63,7 @@ MAX_DIAG_WIDTH = 4
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 def _dot(u: Sequence[int], a: Sequence[int]) -> int:

@@ -15,11 +15,12 @@ are read from keyed blake2b streams of a 128-bit per-key seed.  Determinism
 and invertibility are the only contracts pi has to satisfy.  No per-key
 table exists: an evaluation reads each round's entry from the one 64-byte
 digest that holds it.  A seed's entry in a small bounded cache holds its
-keyed blake2b state, which has absorbed the seed once, and the digests read
-so far; each digest is computed from a copy of that state the first time a
-point needs it.  A key costs one keyed state plus what its evaluations
-touch (8 digests per point).  Only :func:`preimage_table` enumerates the
-2^(w+1) domain.
+keyed blake2b state, which has absorbed the seed once, and a list of digest
+slots, one per (round, digest counter) pair that any width can read; a
+slot stays None until a point needs its digest, which is then computed
+from a copy of that state.  A key costs one keyed state and one slot list
+plus what its evaluations touch (8 digests per point).  Only
+:func:`preimage_table` enumerates the 2^(w+1) domain.
 
 SECURITY WARNING: nothing here is cryptographically hard.  The public key
 contains the permutation seed (and the claw offset), so anyone holding a
@@ -101,37 +102,6 @@ class EntcfKey:
 EntcfTrapdoor = EntcfKey  # the decoding-side role of the same data
 
 
-@lru_cache(maxsize=64)
-def _keyed(seed: bytes) -> tuple[hashlib.blake2b, dict[int, bytes]]:
-    """A seed's keyed blake2b state and the digests read so far.
-
-    Digest `counter` of round `rnd` is stored under ``counter << 3 | rnd``
-    (rnd < FEISTEL_ROUNDS = 8).
-    """
-    return hashlib.blake2b(key=seed, digest_size=64), {}
-
-
-def _digest(state: hashlib.blake2b, digests: dict[int, bytes], rnd: int, counter: int) -> bytes:
-    """Digest `counter` of round `rnd`'s keyed stream, stored in `digests`.
-
-    `state` is the seed's keyed state from :func:`_keyed`, so a digest costs
-    one copy and one compression, once while its seed stays cached.  The
-    cache is small on purpose: it only has to hold the seeds one protocol
-    round touches (the prover's commit, then the verifier's decode and check
-    of the same points).  Up to width 11 each round's entries lie in one
-    digest, so its 64 seeds hold about 512 digests; at width 16 a seed holds
-    at most 64.  A dict of bytes under int keys is not tracked by the
-    garbage collector, so only the 64 entries are.  A large cache outlives
-    the young generations and the collector's full passes walk it: a cache
-    of 8192 tracked entries, one per digest, made the tail latency of
-    width-16 sessions five times what it was at 512.
-    """
-    h = state.copy()
-    h.update(rnd.to_bytes(2, "big") + counter.to_bytes(4, "big"))
-    digest = digests[counter << 3 | rnd] = h.digest()
-    return digest
-
-
 def _layout(total_bits: int) -> tuple[int, int, int, int, int]:
     """Right half width, left and right entry bytes, left and right masks of a split."""
     left_bits = (total_bits + 1) // 2
@@ -142,6 +112,35 @@ def _layout(total_bits: int) -> tuple[int, int, int, int, int]:
 _LAYOUTS = tuple(_layout(total_bits) for total_bits in range(MAX_KEY_WIDTH + 2))
 _FORWARD = tuple(range(FEISTEL_ROUNDS))
 _INVERSE = _FORWARD[::-1]
+
+# What each digest slot ``counter << 3 | rnd`` absorbs after the key: round
+# and counter, big-endian.  The last entry of a half starts at byte
+# mask * k of its stream (k bytes per entry of the other half's width), so
+# no split reads past counter 7: 64 slots.
+_SUFFIXES = tuple(
+    (slot & 7).to_bytes(2, "big") + (slot >> 3).to_bytes(4, "big")
+    for slot in range(8 + 8 * max(max(lm * rs, rm * ls) >> 6 for _, ls, rs, lm, rm in _LAYOUTS))
+)
+
+
+@lru_cache(maxsize=64)
+def _keyed(seed: bytes) -> tuple[hashlib.blake2b, list[bytes | None]]:
+    """A seed's keyed blake2b state and its digest slots, None until read.
+
+    Digest `counter` of round `rnd` (rnd < FEISTEL_ROUNDS = 8) fills slot
+    ``counter << 3 | rnd``: a copy of the state that absorbs the slot's
+    suffix in ``_SUFFIXES``, one compression, once while the seed stays
+    cached.  The cache is small on purpose: it only has to hold the seeds
+    one protocol round touches (the prover's commit, then the verifier's
+    decode and check of the same points).  Up to width 11 each round's
+    entries lie in one digest, so its 64 seeds hold about 512 digests; at
+    width 16 a seed holds at most 64.  Only the 64 slot lists are tracked by
+    the garbage collector; the bytes in them are not.  A large cache
+    outlives the young generations and the collector's full passes walk it:
+    a cache of 8192 tracked entries, one per digest, made the tail latency
+    of width-16 sessions five times what it was at 512.
+    """
+    return hashlib.blake2b(key=seed, digest_size=64), [None] * len(_SUFFIXES)
 
 
 def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) -> int:
@@ -160,14 +159,24 @@ def _feistel(seed: bytes, total_bits: int, value: int, inverse: bool = False) ->
     for rnd in _INVERSE if inverse else _FORWARD:
         if rnd & 1:
             pos = left * right_size
-            counter, offset = pos >> 6, pos & 63
-            digest = digests.get(counter << 3 | rnd) or _digest(state, digests, rnd, counter)
+            slot = pos >> 6 << 3 | rnd
+            digest = digests[slot]
+            if digest is None:
+                h = state.copy()
+                h.update(_SUFFIXES[slot])
+                digest = digests[slot] = h.digest()
+            offset = pos & 63
             entry = digest[offset] if right_size == 1 else int.from_bytes(digest[offset : offset + right_size], "big")
             right ^= entry & right_mask
         else:
             pos = right * left_size
-            counter, offset = pos >> 6, pos & 63
-            digest = digests.get(counter << 3 | rnd) or _digest(state, digests, rnd, counter)
+            slot = pos >> 6 << 3 | rnd
+            digest = digests[slot]
+            if digest is None:
+                h = state.copy()
+                h.update(_SUFFIXES[slot])
+                digest = digests[slot] = h.digest()
+            offset = pos & 63
             entry = digest[offset] if left_size == 1 else int.from_bytes(digest[offset : offset + left_size], "big")
             left ^= entry & left_mask
     return (left << right_bits) | right
@@ -240,7 +249,7 @@ def decode_u(trapdoor: EntcfTrapdoor, y: int, d: int) -> int:
         raise DecodeError("decode_u requires a claw-free trapdoor")
     if not 0 <= d < (1 << trapdoor.width):
         raise DecodeError(f"equation vector {d} out of range")
-    return bin(d & trapdoor.delta).count("1") & 1
+    return (d & trapdoor.delta).bit_count() & 1
 
 
 def preimage_table(key: EntcfKey) -> dict[int, list[tuple[int, int]]]:

@@ -113,16 +113,16 @@ def claw_terms(key: entcf.EntcfKey, b: int, x: int) -> tuple[tuple[int, int], ..
     return ((b, x),)
 
 
-def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> qcore.BB84Product:
-    """Committed qubit left after the preimage register is Hadamard-measured as d.
+def kept_qubit(terms: tuple[tuple[int, int], ...], d: int) -> tuple[int, int]:
+    """(bit, basis) of the committed qubit left after the preimage register is Hadamard-measured as d.
 
     One term leaves |b>; a claw (b, x0), (1 - b, x1) leaves H|d . (x0 XOR x1)>,
     both up to a global sign.
     """
     if len(terms) == 1:
-        return qcore.BB84Product((terms[0][0],), (0,))
+        return terms[0][0], 0
     (_, x0), (_, x1) = terms
-    return qcore.BB84Product((bin(d & (x0 ^ x1)).count("1") & 1,), (1,))
+    return (d & (x0 ^ x1)).bit_count() & 1, 1
 
 
 class HonestProver(LocalProver):
@@ -148,18 +148,17 @@ class HonestProver(LocalProver):
 
     def equation_answers(self):
         equations = [int(self._rng.integers(0, 2**self._width)) for _ in self._terms]
-        kept = [kept_qubit(terms, d) for terms, d in zip(self._terms, equations)]
-        self._register = qcore.BB84Product(sum((k.bits for k in kept), ()), sum((k.bases for k in kept), ()))
+        bits, bases = zip(*map(kept_qubit, self._terms, equations))
+        self._register = qcore.BB84Product(bits, bases)
         return equations
 
     def question_answers(self, q):
         # one draw per copy, even where the outcome is certain, as the dense
-        # measurement of each qubit makes
+        # measurement of each qubit makes; a qubit measured in the other
+        # basis reads the first binary digit of its draw (BB84Product.measure)
         register = self._register
-        bits = tuple(
-            qcore.BB84Product((bit,), (basis,)).measure((q,), self._rng.random())[0]
-            for bit, basis in zip(register.bits, register.bases)
-        )
+        draws = [self._rng.random() for _ in register.bits]
+        bits = tuple(bit if basis == q else int(u * 2) for bit, basis, u in zip(register.bits, register.bases, draws))
         self._register = qcore.BB84Product(bits, (q,) * len(bits))
         return list(bits)
 

@@ -31,8 +31,12 @@ import json
 from dataclasses import dataclass, field
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # built once; json.dumps builds one per call
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The one JSON spelling of transcripts, wire frames and abort reasons: sorted keys, no spaces."""
+    return _CANONICAL.encode(obj)
 
 
 _ATOMS = frozenset((str, int, float, bool, type(None)))

@@ -9,10 +9,14 @@ Message types exchanged during a session: KEYS, IMAGES, ROUND_TYPE,
 PREIMAGES, EQUATIONS, QUESTION, ANSWERS, VERDICT, FINAL.  The transport
 additionally uses ACK replies to VERDICT/FINAL so that every message on
 the socket has exactly one response; ACKs never appear in transcripts.
+The verifier reads a VERDICT's ACK only after it has sent the next frame,
+so a round does not wait on it; FINAL's ACK is read at once.
 A prover that cannot handle a message answers ERROR (with a reason) and
-closes the connection; the verifier then aborts the session.  A peer that
-sends nothing for SOCKET_TIMEOUT_S seconds is treated as gone: the read
-raises ConnectionError, as it does for a closed connection.
+closes the connection; the verifier then aborts the session.  An ERROR
+where a VERDICT's ACK was due counts as the reply to the frame sent after
+that VERDICT.  A peer that sends nothing for SOCKET_TIMEOUT_S seconds is
+treated as gone: the read raises ConnectionError, as it does for a closed
+connection.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import struct
 from typing import Sequence
 
 from .qcore import bits_to_index, index_to_bits
+from .transcript import canonical_json
 
 # Largest frame body accepted from a peer.  Session messages are far
 # smaller (a KEYS message carries about 100 bytes per copy); the limit
@@ -67,7 +72,7 @@ def hex_to_bits(text: str, width: int) -> tuple[int, ...]:
 
 
 def encode_message(msg: dict) -> bytes:
-    body = json.dumps(msg, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = canonical_json(msg).encode("utf-8")
     return struct.pack("!I", len(body)) + body
 
 
@@ -108,16 +113,29 @@ class SocketProverClient:
     def __init__(self, conn: socket.socket):
         self.conn = conn
         self.peer_error: dict | None = None
+        self._ack_owed = False  # a VERDICT was sent and its ACK not read yet
 
     def handle(self, msg: dict) -> dict | None:
         if self.peer_error is not None:
             return None  # the prover closed the session; nothing reaches it any more
         send_message(self.conn, msg)
+        if self._ack_owed:  # read only now, so that the prover already has this frame
+            self._ack_owed = False
+            error = self._receive(ack=True)
+            if error is not None:
+                return error
+        if msg["type"] == "VERDICT":
+            self._ack_owed = True
+            return None
+        return self._receive(ack=msg["type"] == "FINAL")
+
+    def _receive(self, ack: bool) -> dict | None:
+        """The next reply, or None for an ACK when `ack`; an ERROR is returned and kept in `peer_error`."""
         reply = recv_message(self.conn)
         if isinstance(reply, dict) and reply.get("type") == "ERROR":
             self.peer_error = reply
             return reply  # never the awaited reply, so the verifier aborts
-        if msg["type"] in ("VERDICT", "FINAL"):
+        if ack:
             if not isinstance(reply, dict) or reply.get("type") != "ACK":
                 raise ConnectionError(f"expected ACK, got {reply!r}")
             return None

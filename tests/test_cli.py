@@ -750,6 +750,37 @@ class TestSocketMode:
         assert code == 1
         assert f"error: expected ACK, got {ack!r}" in err
 
+    def test_peer_closing_after_a_verdict_exits_1(self, capsys):
+        import socket as socketmod
+
+        received = []
+
+        def serve(listener):
+            # an honest prover that hangs up on the first VERDICT without an ACK
+            conn = listener.accept()[0]
+            with conn:
+                prover = provers.HonestProver(seed=7)
+                while True:
+                    received.append(wire.recv_message(conn))
+                    if received[-1]["type"] == "VERDICT":
+                        return
+                    wire.send_message(conn, prover.handle(received[-1]))
+
+        with socketmod.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            server = threading.Thread(target=serve, args=(listener,))
+            server.start()
+            code, _, err = run_cli(
+                capsys, "rsp", "run", "--n", "2", "--m", "3", "--seed", "7",
+                "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+            )
+            server.join(timeout=10)
+            assert not server.is_alive()
+        assert received[-1]["type"] == "VERDICT"
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_run_against_served_prover(self, capsys, tmp_path):
         import socket as socketmod
 

@@ -781,6 +781,123 @@ class TestProverServerErrors:
         assert remote.transcript.to_bytes() == local.transcript.to_bytes()
 
 
+def _wire_record(record: dict) -> dict:
+    """A transcript record as it went over the wire: without dir and seq."""
+    return {k: v for k, v in record.items() if k not in ("dir", "seq")}
+
+
+class TestVerdictAckReadLate:
+    """The verifier reads a VERDICT's ACK only after it has sent the next frame."""
+
+    @staticmethod
+    def serve_late_acks(conn, prover):
+        # an honest server that ACKs each VERDICT only once the next frame is in
+        ack_owed = False
+        while True:
+            msg = wire.recv_message(conn)
+            if ack_owed:
+                wire.send_message(conn, {"type": "ACK"})
+                ack_owed = False
+            reply = prover.handle(msg)
+            if msg["type"] == "FINAL":
+                wire.send_message(conn, {"type": "ACK"})
+                return
+            if msg["type"] == "VERDICT":
+                ack_owed = True
+            else:
+                wire.send_message(conn, reply)
+
+    def test_ack_sent_after_the_next_frame(self, monkeypatch):
+        monkeypatch.setattr(wire, "SOCKET_TIMEOUT_S", 0.5)
+        cfg = config(n=2, m=3, seed=7)
+        local = protocol.run_multi_round(cfg, provers.HonestProver(seed=5))
+        assert len(local.flags) == 7  # seven VERDICTs, each followed by KEYS
+        server, client = socket.socketpair()
+        with server, client:
+            server.settimeout(wire.SOCKET_TIMEOUT_S)
+            client.settimeout(wire.SOCKET_TIMEOUT_S)
+            thread = threading.Thread(
+                target=self.serve_late_acks, args=(server, provers.HonestProver(seed=5)), daemon=True
+            )
+            thread.start()
+            remote = protocol.run_multi_round(cfg, wire.SocketProverClient(client))
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert remote.transcript.to_bytes() == local.transcript.to_bytes()
+
+    def test_error_in_place_of_a_verdict_ack_aborts(self):
+        def serve(listener):
+            # honest until the first VERDICT, which it answers with ERROR before it hangs up
+            conn = listener.accept()[0]
+            with conn:
+                prover = provers.HonestProver(seed=5)
+                while True:
+                    msg = wire.recv_message(conn)
+                    if msg["type"] == "VERDICT":
+                        wire.send_message(conn, {"type": "ERROR", "reason": "no verdicts here"})
+                        return
+                    wire.send_message(conn, prover.handle(msg))
+
+        cfg = config(n=2, m=3, seed=7)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+            thread.start()
+            client = wire.SocketProverClient.connect("127.0.0.1", listener.getsockname()[1])
+            client.conn.settimeout(10)
+            res = protocol.run_multi_round(cfg, client)
+            client.close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert not res.accepted and res.abort_block == -1
+        assert res.abort_reason == (
+            'protocol abort: expected IMAGES message, got {"reason":"no verdicts here","type":"ERROR"}'
+        )
+        records = [json.loads(line) for line in res.transcript.lines]
+        # the ERROR is recorded as the reply to the frame after the VERDICT
+        assert [r["type"] for r in records[-5:]] == ["VERDICT", "KEYS", "ERROR", "FINAL", "SUMMARY"]
+        assert transcript.replay(res.transcript).ok
+
+    @pytest.mark.parametrize("strategy", ["honest", "always_wrong"])
+    def test_frames_on_the_wire_are_the_transcript(self, monkeypatch, strategy):
+        """The server reads the v->p records and writes the p->v records, plus an ACK per VERDICT and FINAL."""
+        server, client = socket.socketpair()
+        reads, writes = [], []
+        recv, send = wire.recv_message, wire.send_message
+
+        def logged_recv(conn):
+            msg = recv(conn)
+            if conn is server:
+                reads.append(msg)
+            return msg
+
+        def logged_send(conn, msg):
+            if conn is server:
+                writes.append(json.loads(wire.encode_message(msg)[4:]))
+            send(conn, msg)
+
+        monkeypatch.setattr(wire, "recv_message", logged_recv)
+        monkeypatch.setattr(wire, "send_message", logged_send)
+        prover = provers.HonestProver(5) if strategy == "honest" else provers.cheating_prover(strategy, 5)
+        with server, client:
+            client.settimeout(10)
+            thread = threading.Thread(target=wire.serve_prover_connection, args=(server, prover))
+            thread.start()
+            res = protocol.run_multi_round(config(n=2, m=3, seed=7), wire.SocketProverClient(client))
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert res.accepted is (strategy == "honest")
+        records = [json.loads(line) for line in res.transcript.lines[:-1]]  # the SUMMARY is never sent
+        assert reads == [_wire_record(r) for r in records if r["dir"] == "v->p"]
+        expected = [
+            _wire_record(r) if r["dir"] == "p->v" else {"type": "ACK"}
+            for r in records
+            if r["dir"] == "p->v" or r["type"] in ("VERDICT", "FINAL")
+        ]
+        assert writes == expected and len(writes) == len(reads)
+
+
 def _keys_msg(round_value):
     key = entcf.gen(entcf.CLAW_FREE, 4, np.random.default_rng(0)).key
     return {"type": "KEYS", "session": "s", "round": round_value, "keys": [entcf.key_to_wire(key)]}

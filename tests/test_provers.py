@@ -59,7 +59,8 @@ def test_two_term_commitment_matches_dense_oracle(width, mode):
             for d in range(2**width):
                 prob, qubit = dense_equation_branch(dense, width, d)
                 assert abs(prob - 2.0**-width) < 1e-12
-                assert abs(qcore.fidelity(provers.kept_qubit(terms, d), qubit) - 1) < 1e-12
+                bit, basis = provers.kept_qubit(terms, d)
+                assert abs(qcore.fidelity(qcore.BB84Product((bit,), (basis,)), qubit) - 1) < 1e-12
     assert seen == set(table)
 
 
